@@ -12,11 +12,10 @@ GO ?= go
 
 # Minimum combined statement coverage for the correlator's concurrency
 # core (internal/core + internal/flow + internal/live) plus the live
-# analytics tier (internal/sketch + internal/export) and the pipeline's
-# handoff primitive (internal/ring) — the packages the sharded batch
-# pipeline, the sharded push-mode session (including the SealAfter
-# continuous mode), the ring-buffered dispatch, the online monitor and
-# its bounded-memory sketches and export sinks live in.
+# analytics tier (internal/sketch + internal/export) — the packages the
+# streaming session (including the SealAfter continuous mode and its
+# worker-pool dispatch), the online monitor and its bounded-memory
+# sketches and export sinks live in.
 COVER_MIN ?= 85
 
 .PHONY: ci vet lint build test race cover bench bench-allocs bench-promote bench-scaling soak soak-short
@@ -46,8 +45,8 @@ race:
 	$(GO) test -race ./...
 
 cover:
-	$(GO) test -coverprofile=coverage.out ./internal/core ./internal/flow ./internal/live ./internal/sketch ./internal/export ./internal/ring
-	@$(GO) tool cover -func=coverage.out | awk -v min=$(COVER_MIN) '/^total:/ { pct = $$3; sub(/%/, "", pct); printf "coverage: %s%% of statements in internal/core+internal/flow+internal/live+internal/sketch+internal/export+internal/ring (minimum %s%%)\n", pct, min; exit (pct + 0 < min + 0) }'
+	$(GO) test -coverprofile=coverage.out ./internal/core ./internal/flow ./internal/live ./internal/sketch ./internal/export
+	@$(GO) tool cover -func=coverage.out | awk -v min=$(COVER_MIN) '/^total:/ { pct = $$3; sub(/%/, "", pct); printf "coverage: %s%% of statements in internal/core+internal/flow+internal/live+internal/sketch+internal/export (minimum %s%%)\n", pct, min; exit (pct + 0 < min + 0) }'
 
 bench:
 	$(GO) test -run '^$$' -bench=. -benchtime=1x ./...
@@ -58,7 +57,7 @@ bench:
 # accidental per-record allocation costs ~37k allocs/op here and blows
 # either budget immediately.
 #
-#   seq-close-driven: ~54k measured on the ring-buffered pipeline (down
+#   seq-close-driven: ~54k measured on the worker-pool pipeline (down
 #   from 178,250 before dense interned identities, ~68k before the
 #   worker-pool ranker/engine reuse).
 ALLOCS_BUDGET ?= 65000

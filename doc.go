@@ -86,43 +86,36 @@
 //
 // # The two-stage session front
 //
-// Internally the engine is a two-stage pipeline joined by bounded ring
-// buffers (internal/ring) rather than Go channels:
+// Internally the engine is a two-stage pipeline joined by one buffered
+// Go channel:
 //
 //	stage 1 (caller's goroutine): apply + partition + seal decisions
-//	    │ jobs ring: sealed components, pushed in seal order
+//	    │ jobs channel: sealed components, sent in seal order
 //	    ▼
-//	worker pool: ranker+engine per sealed component (batched pulls)
-//	    │ results ring: correlated shard results
+//	worker pool: ranker+engine per sealed component; each worker
+//	    │ appends its shard result to a mutex-guarded buffer
 //	    ▼
-//	stage 2 (collector goroutine): result collection
-//	    │ harvested back by stage 1 at drain/tick/close points
-//	    ▼
-//	watermark emitter (caller's goroutine): ordered CAG release
+//	stage 1 again, at drain/tick/close points: absorb landed results,
+//	    then the watermark emitter releases CAGs in order
 //
 // The stage ownership contract: every *decision* lives on stage 1, only
-// *work* crosses the rings. Stage 1 — the goroutine calling
+// *work* crosses to the pool. Stage 1 — the goroutine calling
 // Push/Drain/Tick/CloseHost — owns the flow partition and makes every
 // seal decision at deterministic points in the event stream; that
 // cannot move, because sealing feeds back into partitioning (a sealed
 // component is tombstoned, and a straggler touching its tombstone
 // detaches as a late link — so *when* a seal happens, in event-stream
 // time, shapes how later records partition). Workers own only sealed,
-// therefore immutable, components. The stage-2 collector owns nothing
-// but the result buffer it accumulates; stage 1 harvests that buffer —
-// absorbing only shards that have actually finished — without ever
-// blocking on the pool unless asked to (Drain/Close), which is what
-// Session.Tick exposes: the non-blocking cadence a live ingest front
-// uses so applying and correlating overlap.
-//
-// The rings are the handoff, chosen over channels for batch
-// amortization: one mutex acquisition moves a run of sealed components
-// (ring.PushBatch) or finished results (ring.PopBatch) instead of one
-// synchronization per element, and a worker wakes to a batch of work
-// under backlog instead of once per component. Capacity bounds give the
-// same backpressure a bounded channel would — a stalled pool eventually
-// blocks stage 1's PushBatch, which blocks Push, which (through the
-// ingest queue) blocks TCP, exactly the paper's end-to-end flow control.
+// therefore immutable, components, and share nothing but the result
+// buffer they append to. Stage 1 swaps that buffer out — absorbing only
+// shards that have actually finished — without ever blocking on the
+// pool unless asked to (Drain/Close), which is what Session.Tick
+// exposes: the non-blocking cadence a live ingest front uses so applying
+// and correlating overlap. The handoff happens once per sealed
+// component, not per record, so its synchronization cost is noise. The
+// channel's capacity gives backpressure: a stalled pool eventually
+// blocks stage 1's send, which blocks Push, which (through the ingest
+// queue) blocks TCP, exactly the paper's end-to-end flow control.
 //
 // None of this touches emitter determinism. Graph content is fixed at
 // seal time (sealed components are immutable, and the ranker+engine
@@ -130,11 +123,11 @@
 // the END-timestamp watermark, which counts sealed-but-in-flight
 // components as pending and so never releases a graph that unfinished
 // work could precede. The pipeline's only freedom is scheduling — which
-// worker correlates which shard, and when results land in the collector
-// — and the watermark makes scheduling unobservable: a Tick cadence
-// shifts when a graph is released, never what it contains or its order,
-// and the equivalence suites assert byte-identical output at every pool
-// size, plain and under -race.
+// worker correlates which shard, and when its result lands — and the
+// watermark makes scheduling unobservable: a Tick cadence shifts when a
+// graph is released, never what it contains or its order, and the
+// equivalence suites assert byte-identical output at every pool size,
+// plain and under -race.
 //
 // Sealing is the one rule that decides both latency and safety. Purely
 // close-driven sealing (the default) never guesses: nothing is
@@ -164,8 +157,7 @@
 // is pushed in order, every host is closed, and — when a horizon is
 // configured — the replay drains on a fixed record cadence, so a recorded
 // trace reproduces a continuous deployment's seals, splits and counters
-// deterministically. The batch partition stage also exists standalone
-// (flow.PartitionParallel) for shard-key analysis.
+// deterministically.
 //
 // There are no exceptions: even the PaperExactNoise ablation runs this
 // engine. The literal Fig. 5 is_noise predicate asks whether a pending

@@ -131,7 +131,7 @@ func TestEarlyCloseSafeGate(t *testing.T) {
 	}
 	sort.Strings(traceHosts)
 	base := Options{Window: 10 * time.Millisecond, EntryPorts: []int{rubis.EntryPort}, IPToHost: res.IPToHost}
-	s := newStreamSession(base, traceHosts)
+	s := newSession(base, traceHosts)
 	if !s.earlyCloseSafe(res.Trace) {
 		t.Fatal("fully resolved rubis trace should allow early close")
 	}
@@ -149,7 +149,7 @@ func TestEarlyCloseSafeGate(t *testing.T) {
 		}
 		partial.IPToHost[ip] = h
 	}
-	s2 := newStreamSession(partial, traceHosts)
+	s2 := newSession(partial, traceHosts)
 	if s2.earlyCloseSafe(res.Trace) {
 		t.Fatalf("trace with host %q unmapped should refuse early close", dropped)
 	}
@@ -158,7 +158,7 @@ func TestEarlyCloseSafeGate(t *testing.T) {
 	// No resolution at all: refuse outright.
 	bare := base
 	bare.IPToHost = nil
-	s3 := newStreamSession(bare, traceHosts)
+	s3 := newSession(bare, traceHosts)
 	if s3.earlyCloseSafe(res.Trace) {
 		t.Fatal("trace without IPToHost should refuse early close")
 	}

@@ -45,7 +45,7 @@ func (c *Correlator) replayTrace(trace []*activity.Activity) (*Result, error) {
 	}
 	sort.Strings(hosts)
 
-	s := newStreamSession(c.opts, hosts)
+	s := newSession(c.opts, hosts)
 	cls := s.cls
 	every := 0
 	if c.opts.continuousConfigured() {
@@ -95,7 +95,7 @@ func (c *Correlator) replayTrace(trace []*activity.Activity) (*Result, error) {
 // close-at-end would have joined, so the replay degrades to the
 // close-at-end shape (exactly like the ranker degrades its noise
 // reasoning on the same misconfiguration).
-func (s *streamSession) earlyCloseSafe(trace []*activity.Activity) bool {
+func (s *Session) earlyCloseSafe(trace []*activity.Activity) bool {
 	if len(s.ipHost) == 0 {
 		return false
 	}
@@ -128,7 +128,7 @@ func (c *Correlator) replaySources(sources []ranker.Source, totalHint int) (*Res
 		return &Result{Activities: totalHint, CorrelationTime: time.Since(start)}, nil
 	}
 
-	s := newStreamSession(c.opts, hosts)
+	s := newSession(c.opts, hosts)
 	every := 0
 	if c.opts.continuousConfigured() {
 		every = replayDrainEvery
@@ -168,7 +168,7 @@ func (c *Correlator) replaySources(sources []ranker.Source, totalHint int) (*Res
 // CorrelationTime only covers time blocked on shard work; a batch caller
 // cares about the whole pass, partition included — the quantity
 // Fig. 9/10/14 plot).
-func (c *Correlator) finishReplay(s *streamSession, total int, start time.Time) *Result {
+func (c *Correlator) finishReplay(s *Session, total int, start time.Time) *Result {
 	res := s.Close()
 	res.Activities = total
 	res.CorrelationTime = time.Since(start)

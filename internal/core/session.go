@@ -2,10 +2,14 @@ package core
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"repro/internal/activity"
 	"repro/internal/cag"
+	"repro/internal/engine"
+	"repro/internal/flow"
+	"repro/internal/ranker"
 )
 
 // Session is the online (push-mode) correlator: activities are pushed as
@@ -38,24 +42,91 @@ import (
 //
 // Sessions are not safe for concurrent use: Push/Drain/CloseHost/
 // Heartbeat/Close must be called from one goroutine (the engine
-// parallelises internally).
+// parallelises internally). The engine itself — partition, sealing,
+// worker pool, watermark emitter — is described in stream.go.
 type Session struct {
-	impl sessionImpl
-}
+	opts Options
+	drv  *Correlator // sequential driver for sealed components
+	cls  *activity.Classifier
+	inc  *flow.Incremental
 
-// sessionImpl is the contract both execution modes satisfy; Session is a
-// thin façade so NewSession can pick the mode from Options.
-type sessionImpl interface {
-	Push(a *activity.Activity) error
-	PushBatch(batch []*activity.Activity) error
-	Drain() int
-	Tick() int
-	CloseHost(host string) error
-	Heartbeat(host string, ts time.Duration) error
-	Close() *Result
-	Graphs() []*cag.Graph
-	Pending() int
-	AddSink(sink GraphSink)
+	hosts map[activity.Sym]*sessHost
+
+	// ipHost resolves a channel endpoint's interned IP straight to the
+	// owning host's symbol — Options.IPToHost precomputed once, so the
+	// two endpoint resolutions every push performs are integer map hits
+	// instead of string lookups.
+	ipHost map[activity.Sym]activity.Sym
+
+	comps      map[int32]*sessComponent // keyed by current union-find root
+	nextCompID int
+
+	// chanOwner (debug only) maps each connection seen to the union-find
+	// node it first filed under, for the shard-closure assertion; nil
+	// unless debugShardClosure is set.
+	chanOwner map[activity.ChanKey]int32
+
+	// slab is the block allocator for the per-push buffered copy: pushes
+	// carve records out of slabSize blocks instead of allocating one
+	// Activity each. A block is reclaimed when every graph referencing
+	// its records has been released — acceptable grouping, since records
+	// of one block arrive together and seal together.
+	slab []activity.Activity
+
+	// Stage-1 → worker → stage-1 handoff. Stage 1 is the caller's
+	// goroutine: apply + flow partition + the seal decisions (which MUST
+	// stay on deterministic event-stream points — Seal tombstones feed
+	// back into how later records partition). Sealed components go to the
+	// worker pool over the jobs channel; each worker appends its shard
+	// result to colBuf under colMu and broadcasts colReady. Stage 1 folds
+	// colBuf in via harvest (non-blocking) or settle (the Drain/Close
+	// barrier, which waits until collected reaches shards).
+	sealReady []*sessComponent // scratch for the per-drain seal scans
+	jobs      chan *sessComponent
+	wg        sync.WaitGroup // workers
+
+	colMu      sync.Mutex
+	colReady   sync.Cond         // collected advanced; waiters: settle
+	collected  int               // shard results landed (guarded by colMu)
+	colBuf     []sessShardResult // landed, awaiting stage-1 absorption
+	colScratch []sessShardResult // harvest's swap buffer
+
+	finished []taggedGraph // correlated, held back by the watermark
+	unsorted bool          // finished gained graphs since the last sort
+	emitted  []*cag.Graph  // released (when not streaming via OnGraph/Sinks)
+
+	// deliver is the fused emission chain (Options.OnGraph + every
+	// registered sink), nil when the session accumulates into emitted.
+	// Rebuilt by AddSink, which must run before the first Push.
+	deliver func(*cag.Graph)
+
+	pushed      int
+	pendingActs int
+	uncounted   int // shard deliveries not yet reported by Drain
+
+	// Continuous-mode state (any seal horizon configured). maxTs is the
+	// newest timestamp pushed or heartbeated on any stream — the activity
+	// clock every horizon is measured against. maxHorizon is the largest
+	// configured horizon: the prune lag for components whose own horizon
+	// is unbounded, wide enough for any straggler the liveness bounds
+	// admit.
+	continuous  bool
+	maxTs       time.Duration
+	maxHorizon  time.Duration
+	forcedSeals int
+
+	rstats   ranker.Stats
+	estats   engine.Stats
+	peakVert int
+	shards   int // stage-1 only: components sealed and sent to jobs
+	// workTime is the wall-clock time this session spent correlating —
+	// the time blocked in settle/harvest/emit, which is the shard work's
+	// critical path, not the sum of concurrent shard times. It matches
+	// the historical sequential session's drain-time accounting.
+	workTime time.Duration
+
+	closed bool
+	final  *Result
 }
 
 // NewSession opens an online session for the given traced hosts. Every
@@ -75,75 +146,5 @@ func NewSession(opts Options, hosts []string) (*Session, error) {
 	if len(hosts) == 0 {
 		return nil, fmt.Errorf("core: session needs at least one host")
 	}
-	return &Session{impl: newStreamSession(opts, hosts)}, nil
+	return newSession(opts, hosts), nil
 }
-
-// Push feeds one raw TCP_TRACE record (classification happens inside).
-// Records of one host must arrive in that host's local-clock order; hosts
-// interleave arbitrarily.
-func (s *Session) Push(a *activity.Activity) error { return s.impl.Push(a) }
-
-// PushBatch feeds a run of raw records in order, as one call — the shape
-// a decoded transport frame arrives in. It is equivalent to calling Push
-// per record: application stops at the first error, which is returned,
-// and the records before it stay applied. The session copies what it
-// keeps, so the caller may recycle the batch's records afterwards
-// (activity.ReleaseRecord for pooled decode-side records).
-func (s *Session) PushBatch(batch []*activity.Activity) error { return s.impl.PushBatch(batch) }
-
-// Drain runs the correlator until no further candidate is safely
-// decidable, returning the number of activities processed this call: it
-// force-seals components idle past their horizon (continuous mode), waits
-// for every dispatched component to finish correlating, and releases the
-// graphs the watermark permits.
-func (s *Session) Drain() int { return s.impl.Drain() }
-
-// Tick is the non-blocking Drain: it makes the same deterministic seal
-// decisions at the same point in the event stream, but releases only the
-// graphs whose components the worker pool has already finished, instead
-// of waiting for the in-flight ones — the pipelined cadence a live
-// ingest front uses so pushing and correlating overlap. Graphs emerge in
-// the same deterministic order as under Drain (sealed-but-in-flight
-// components still bound the watermark); a Tick cadence only shifts
-// *when* each graph is released, never what it contains or its order. A
-// final Drain or Close delivers whatever Tick left in flight.
-func (s *Session) Tick() int { return s.impl.Tick() }
-
-// CloseHost marks one host's stream complete (its agent shut down). This
-// is what seals components absent a horizon: a flow component whose every
-// contributing host has closed can no longer grow and is handed to the
-// worker pool.
-func (s *Session) CloseHost(host string) error { return s.impl.CloseHost(host) }
-
-// Heartbeat records a liveness assertion from one host's agent: the host
-// is alive and will never deliver an activity with a timestamp older
-// than ts. It advances the watermark past quiet-but-healthy streams —
-// without it, an idle host with no horizon holds back every emission,
-// and an idle host with a long horizon delays them by that horizon. A
-// heartbeat also advances the activity clock that seal horizons measure
-// against, so correlation keeps flowing through traffic lulls. Stale
-// assertions (ts older than the host's newest record) are ignored.
-//
-// Like pushed timestamps, heartbeats are activity-time, never wall
-// clock: replaying the same push/heartbeat/drain sequence reproduces the
-// same output.
-func (s *Session) Heartbeat(host string, ts time.Duration) error { return s.impl.Heartbeat(host, ts) }
-
-// Close marks every stream complete, drains the remainder and returns the
-// final result. Closing twice returns the same result.
-func (s *Session) Close() *Result { return s.impl.Close() }
-
-// AddSink appends one sink to the session's emission chain (see
-// Options.Sinks). It must be called before the first Push: the chain is
-// rebuilt in place and is not synchronized against in-flight emission.
-// Registering any sink switches the session to streaming —
-// Result.Graphs stays empty.
-func (s *Session) AddSink(sink GraphSink) { s.impl.AddSink(sink) }
-
-// Graphs returns the CAGs completed so far (when not streaming via
-// OnGraph or Sinks).
-func (s *Session) Graphs() []*cag.Graph { return s.impl.Graphs() }
-
-// Pending returns the number of activities buffered but not yet
-// correlated by a finished shard.
-func (s *Session) Pending() int { return s.impl.Pending() }

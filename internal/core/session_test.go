@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"sort"
 	"testing"
 	"time"
@@ -231,6 +232,109 @@ func TestSessionOutOfOrderPushRejected(t *testing.T) {
 	if log[0].Timestamp < log[1].Timestamp {
 		if err := sess.Push(log[0]); err == nil {
 			t.Fatal("timestamp regression should be rejected")
+		}
+	}
+}
+
+// TestSessionAfterClose pins what every Session method does once Close
+// has run, in both seal modes and at both pool sizes: no panic, no hang,
+// and fixed return values. Close closes the worker pool's jobs channel,
+// so the test also proves no post-Close call can reach a dispatch — a
+// send there would panic, and a dropped dispatch would leave a later
+// settle waiting forever.
+func TestSessionAfterClose(t *testing.T) {
+	late := func() *activity.Activity {
+		return mkRaw(1<<20, activity.Receive, time.Hour, "web1", "httpd", 1, "10.9.9.9", "10.0.0.1", 1, 80)
+	}
+	// Each call runs one method on a closed session. unreported is the
+	// delivered count Close absorbed without a Drain reporting it: the
+	// first Drain or Tick after Close returns it, the next one 0.
+	calls := []struct {
+		name string
+		call func(sess *Session, unreported int) error
+	}{
+		{"Push", func(sess *Session, _ int) error {
+			if sess.Push(late()) == nil {
+				return fmt.Errorf("succeeded")
+			}
+			return nil
+		}},
+		{"PushBatch", func(sess *Session, _ int) error {
+			if sess.PushBatch([]*activity.Activity{late()}) == nil {
+				return fmt.Errorf("succeeded")
+			}
+			return nil
+		}},
+		{"Heartbeat", func(sess *Session, _ int) error {
+			if sess.Heartbeat("web2", time.Hour) == nil {
+				return fmt.Errorf("succeeded")
+			}
+			return nil
+		}},
+		{"CloseHost", func(sess *Session, _ int) error {
+			return sess.CloseHost("web1")
+		}},
+		{"Drain", func(sess *Session, unreported int) error {
+			if n, m := sess.Drain(), sess.Drain(); n != unreported || m != 0 {
+				return fmt.Errorf("returned %d then %d, want %d then 0", n, m, unreported)
+			}
+			return nil
+		}},
+		{"Tick", func(sess *Session, unreported int) error {
+			if n, m := sess.Tick(), sess.Tick(); n != unreported || m != 0 {
+				return fmt.Errorf("returned %d then %d, want %d then 0", n, m, unreported)
+			}
+			return nil
+		}},
+		{"Close", func(*Session, int) error { return nil }}, // checked below, like every case
+	}
+	for _, mode := range []struct {
+		name      string
+		sealAfter time.Duration
+	}{{"close-driven", 0}, {"seal-after", 30 * time.Millisecond}} {
+		for _, workers := range []int{1, 4} {
+			for _, c := range calls {
+				t.Run(fmt.Sprintf("%s/workers=%d/%s", mode.name, workers, c.name), func(t *testing.T) {
+					sess, err := NewSession(foreverOpts(workers, mode.sealAfter), []string{"web1", "web2"})
+					if err != nil {
+						t.Fatal(err)
+					}
+					reported := 0
+					for k := 0; k < 8; k++ {
+						pushRequest(t, sess, k, time.Duration(k)*10*time.Millisecond)
+						reported += sess.Drain()
+					}
+					res := sess.Close()
+					if len(res.Graphs) != 8 {
+						t.Fatalf("Close emitted %d graphs, want 8", len(res.Graphs))
+					}
+
+					done := make(chan error, 1)
+					go func() {
+						defer func() {
+							if p := recover(); p != nil {
+								done <- fmt.Errorf("panicked: %v", p)
+							}
+						}()
+						done <- c.call(sess, int(res.Ranker.Delivered)-reported)
+					}()
+					select {
+					case err := <-done:
+						if err != nil {
+							t.Fatalf("%s after Close: %v", c.name, err)
+						}
+					case <-time.After(10 * time.Second):
+						t.Fatalf("%s after Close hung", c.name)
+					}
+
+					if again := sess.Close(); again != res {
+						t.Fatal("Close after Close returned a different result")
+					}
+					if len(res.Graphs) != 8 || sess.Pending() != 0 {
+						t.Fatalf("closed session changed: %d graphs, %d pending", len(res.Graphs), sess.Pending())
+					}
+				})
+			}
 		}
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"math"
 	"os"
 	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/activity"
@@ -13,21 +12,19 @@ import (
 	"repro/internal/engine"
 	"repro/internal/flow"
 	"repro/internal/ranker"
-	"repro/internal/ring"
 )
 
-// streamSession is the one streaming correlation engine. Every execution
-// mode is a configuration of it — there is no other path: the online
-// Session pushes live records into it, the offline Correlate calls replay
-// a recorded input through it (replay.go), Workers sizes its correlation
-// pool (1 = the sequential configuration), and seal horizons (global or
-// per host) turn it continuous. That includes the PaperExactNoise
-// ablation: the Fig. 5 predicate's pending-SEND question is answered from
-// each shard's own window buffer, which the channel-closure invariant
-// makes equal to the global answer — every SEND that could match a
-// RECEIVE shares its ChanKey and therefore its component (see
-// ranker.matchingSendVisible, and assertChanClosure below for the debug
-// check).
+// Session is the one streaming correlation engine. Every execution mode
+// is a configuration of it — there is no other path: online callers push
+// live records into it, the offline Correlate calls replay a recorded
+// input through it (replay.go), Workers sizes its correlation pool (1 =
+// the sequential configuration), and seal horizons (global or per host)
+// turn it continuous. That includes the PaperExactNoise ablation: the
+// Fig. 5 predicate's pending-SEND question is answered from each shard's
+// own window buffer, which the channel-closure invariant makes equal to
+// the global answer — every SEND that could match a RECEIVE shares its
+// ChanKey and therefore its component (see ranker.matchingSendVisible,
+// and assertChanClosure below for the debug check).
 //
 // Pipeline:
 //
@@ -38,8 +35,10 @@ import (
 //	         host can extend it (the completion watermark), or — with a
 //	         horizon configured — when it has idled past the largest
 //	         horizon of the hosts that could still extend it.
-//	workers ──> each sealed component runs the unmodified sequential
-//	         ranker+engine pass (Correlator.drive), no shared state.
+//	jobs channel ──> a worker pool runs the unmodified sequential
+//	         ranker+engine pass (Correlator.drive) over each sealed
+//	         component, no shared state, and appends the shard result to
+//	         colBuf under colMu; stage 1 absorbs it at Tick/Drain/Close.
 //	Drain/Close ──> the watermark emitter releases finished CAGs in
 //	         deterministic END-timestamp order, holding back any graph
 //	         that a still-open stream or still-pending component could
@@ -74,110 +73,13 @@ import (
 // resolution — keys on dense symbols and packed keys, never on strings.
 // Host names reappear only where output order or reporting needs them
 // (correlateComponent's sorted sources, error messages).
-type streamSession struct {
-	opts    Options
-	workers int         // normalized pool size (>= 1)
-	drv     *Correlator // sequential driver for sealed components
-	cls     *activity.Classifier
-	inc     *flow.Incremental
-
-	hosts map[activity.Sym]*sessHost
-
-	// ipHost resolves a channel endpoint's interned IP straight to the
-	// owning host's symbol — Options.IPToHost precomputed once, so the
-	// two endpoint resolutions every push performs are integer map hits
-	// instead of string lookups.
-	ipHost map[activity.Sym]activity.Sym
-
-	comps      map[int32]*sessComponent // keyed by current union-find root
-	nextCompID int
-
-	// chanOwner (debug only) maps each connection seen to the union-find
-	// node it first filed under, for the shard-closure assertion; nil
-	// unless debugShardClosure is set.
-	chanOwner map[activity.ChanKey]int32
-
-	// slab is the block allocator for the per-push buffered copy: pushes
-	// carve records out of slabSize blocks instead of allocating one
-	// Activity each. A block is reclaimed when every graph referencing
-	// its records has been released — acceptable grouping, since records
-	// of one block arrive together and seal together.
-	slab []activity.Activity
-
-	// Two-stage pipeline plumbing. Stage 1 is the session goroutine:
-	// apply + flow partition + the seal decisions (which MUST stay on
-	// deterministic event-stream points — Seal tombstones feed back into
-	// how later records partition). Sealed components move to the worker
-	// pool through the jobs ring in batches; shard results return through
-	// the results ring to the stage-2 collector goroutine, which
-	// aggregates them into collected/colBuf so workers never stall on a
-	// busy stage 1. Stage 1 folds them in via harvest (non-blocking) or
-	// settle (the Drain/Close barrier).
-	sealReady  []*sessComponent // scratch for the per-drain seal scans
-	jobs       *ring.Ring[*sessComponent]
-	results    *ring.Ring[sessShardResult]
-	wg         sync.WaitGroup // workers
-	colWG      sync.WaitGroup // the stage-2 collector
-	dispatched int            // stage-1 only: components pushed to jobs
-
-	colMu      sync.Mutex
-	colReady   sync.Cond         // collected advanced; waiters: settle
-	collected  int               // shard results received (guarded by colMu)
-	colBuf     []sessShardResult // received, awaiting stage-1 absorption
-	colScratch []sessShardResult // harvest's swap buffer
-
-	finished []taggedGraph // correlated, held back by the watermark
-	unsorted bool          // finished gained graphs since the last sort
-	emitted  []*cag.Graph  // released (when not streaming via OnGraph/Sinks)
-
-	// deliver is the fused emission chain (Options.OnGraph + every
-	// registered sink), nil when the session accumulates into emitted.
-	// Rebuilt by AddSink, which must run before the first Push.
-	deliver func(*cag.Graph)
-
-	pushed      int
-	pendingActs int
-	uncounted   int // shard deliveries not yet reported by Drain
-
-	// Continuous-mode state (any seal horizon configured). maxTs is the
-	// newest timestamp pushed or heartbeated on any stream — the activity
-	// clock every horizon is measured against. maxHorizon is the largest
-	// configured horizon: the prune lag for components whose own horizon
-	// is unbounded, wide enough for any straggler the liveness bounds
-	// admit.
-	continuous  bool
-	maxTs       time.Duration
-	maxHorizon  time.Duration
-	forcedSeals int
-
-	rstats   ranker.Stats
-	estats   engine.Stats
-	peakVert int
-	shards   int
-	// workTime is the wall-clock time this session spent correlating —
-	// the time blocked in settle/harvest/emit, which is the shard work's
-	// critical path, not the sum of concurrent shard times. It matches
-	// the historical sequential session's drain-time accounting.
-	workTime time.Duration
-
-	closed bool
-	final  *Result
-}
 
 // slabSize is how many buffered-copy records one slab block holds.
 const slabSize = 512
 
-// workerPullBatch is how many sealed components one worker takes per
-// jobs-ring wakeup. PopBatch is adaptive — a batch only forms under
-// backlog — so this caps amortization, it never delays a lone seal.
-const workerPullBatch = 8
-
-// collectorPullBatch sizes the stage-2 collector's results-ring reads.
-const collectorPullBatch = 32
-
 // copyRec copies one record into the session's slab. The returned copy
 // is owned by the session (component buffers, then CAG vertices).
-func (s *streamSession) copyRec(a *activity.Activity) *activity.Activity {
+func (s *Session) copyRec(a *activity.Activity) *activity.Activity {
 	if len(s.slab) == 0 {
 		s.slab = make([]activity.Activity, slabSize)
 	}
@@ -307,7 +209,9 @@ func sortTagged(tagged []taggedGraph) {
 	})
 }
 
-func newStreamSession(opts Options, hosts []string) *streamSession {
+// newSession builds a session and starts its worker pool. NewSession
+// validates the options first; the offline replays call it directly.
+func newSession(opts Options, hosts []string) *Session {
 	workers := opts.Workers
 	if workers < 1 {
 		workers = 1
@@ -316,23 +220,20 @@ func newStreamSession(opts Options, hosts []string) *streamSession {
 	drvOpts.Workers = 0
 	drvOpts.OnGraph = nil
 	drvOpts.Sinks = nil
-	// The jobs ring is deep enough that a burst of seals (one drain can
-	// retire hundreds of components) dispatches without stalling stage 1;
-	// the results ring is deep enough that workers can land every
-	// in-flight batch even if the collector is momentarily descheduled.
+	// The jobs channel is deep enough that a burst of seals (one drain
+	// can retire hundreds of components) dispatches without stalling
+	// stage 1.
 	jobsCap := 8 * workers
 	if jobsCap < 64 {
 		jobsCap = 64
 	}
-	s := &streamSession{
+	s := &Session{
 		opts:       opts,
-		workers:    workers,
 		drv:        New(drvOpts),
 		cls:        activity.NewClassifier(opts.EntryPorts...),
 		hosts:      make(map[activity.Sym]*sessHost, len(hosts)),
 		comps:      make(map[int32]*sessComponent),
-		jobs:       ring.New[*sessComponent](jobsCap),
-		results:    ring.New[sessShardResult](jobsCap + workers*workerPullBatch),
+		jobs:       make(chan *sessComponent, jobsCap),
 		continuous: opts.continuousConfigured(),
 		maxHorizon: opts.maxHorizon(),
 	}
@@ -364,55 +265,21 @@ func newStreamSession(opts Options, hosts []string) *streamSession {
 	for w := 0; w < workers; w++ {
 		go s.worker()
 	}
-	s.colWG.Add(1)
-	go s.collector()
 	return s
 }
 
-// worker pulls sealed components in batches (one ring wakeup amortized
-// over up to workerPullBatch correlations) and lands the whole run's
-// results as one batch. The batch is adaptive: under light load
-// PopBatch returns a single component immediately, so a lone seal is
-// never delayed waiting for company.
-func (s *streamSession) worker() {
+// worker correlates sealed components until Close closes jobs, landing
+// each shard result in colBuf for stage 1 to absorb.
+func (s *Session) worker() {
 	defer s.wg.Done()
 	sc := newShardScratch(s.drv)
-	comps := make([]*sessComponent, workerPullBatch)
-	out := make([]sessShardResult, 0, workerPullBatch)
-	for {
-		n := s.jobs.PopBatch(comps)
-		if n == 0 {
-			return
-		}
-		out = out[:0]
-		for i, c := range comps[:n] {
-			out = append(out, s.correlateComponent(sc, c))
-			comps[i] = nil
-		}
-		s.results.PushBatch(out)
-	}
-}
-
-// collector is the stage-2 aggregation goroutine: it continuously drains
-// the results ring into colBuf so workers always find room to land
-// finished shards, even while stage 1 is deep in a partition burst.
-// Stage 1 folds the aggregate in at its own cadence (harvest/settle).
-func (s *streamSession) collector() {
-	defer s.colWG.Done()
-	buf := make([]sessShardResult, collectorPullBatch)
-	for {
-		n := s.results.PopBatch(buf)
-		if n == 0 {
-			return
-		}
+	for c := range s.jobs {
+		r := s.correlateComponent(sc, c)
 		s.colMu.Lock()
-		s.colBuf = append(s.colBuf, buf[:n]...)
-		s.collected += n
+		s.colBuf = append(s.colBuf, r)
+		s.collected++
 		s.colReady.Broadcast()
 		s.colMu.Unlock()
-		for i := 0; i < n; i++ {
-			buf[i] = sessShardResult{}
-		}
 	}
 }
 
@@ -450,7 +317,7 @@ func newShardScratch(drv *Correlator) *shardScratch {
 // global pass uses, which the deterministic tie-breaks rely on. (Symbol
 // numeric order depends on interning order, so it is never used for
 // anything output-visible.)
-func (s *streamSession) correlateComponent(sc *shardScratch, c *sessComponent) sessShardResult {
+func (s *Session) correlateComponent(sc *shardScratch, c *sessComponent) sessShardResult {
 	sc.runs = sc.runs[:0]
 	total := 0
 	for _, r := range c.runs {
@@ -493,11 +360,12 @@ func (s *streamSession) correlateComponent(sc *shardScratch, c *sessComponent) s
 	}
 }
 
-// Push implements sessionImpl: validate the stream contract, classify,
-// and ingest. The record is bound in place (idempotent) so the host
-// lookup and all downstream bookkeeping run on dense keys; the session
-// buffers its own slab copy, never the caller's record.
-func (s *streamSession) Push(a *activity.Activity) error {
+// Push feeds one raw TCP_TRACE record (classification happens inside).
+// Records of one host must arrive in that host's local-clock order; hosts
+// interleave arbitrarily. The record is bound in place (idempotent) so
+// the host lookup and all downstream bookkeeping run on dense keys; the
+// session buffers its own slab copy, never the caller's record.
+func (s *Session) Push(a *activity.Activity) error {
 	if s.closed {
 		return fmt.Errorf("core: push on closed session")
 	}
@@ -520,10 +388,13 @@ func (s *streamSession) Push(a *activity.Activity) error {
 	return nil
 }
 
-// PushBatch implements sessionImpl: apply a run of records in order as
-// one call. Application stops at the first error, which is returned;
-// earlier records stay applied.
-func (s *streamSession) PushBatch(batch []*activity.Activity) error {
+// PushBatch feeds a run of raw records in order, as one call — the shape
+// a decoded transport frame arrives in. It is equivalent to calling Push
+// per record: application stops at the first error, which is returned,
+// and the records before it stay applied. The session copies what it
+// keeps, so the caller may recycle the batch's records afterwards
+// (activity.ReleaseRecord for pooled decode-side records).
+func (s *Session) PushBatch(batch []*activity.Activity) error {
 	for _, a := range batch {
 		if err := s.Push(a); err != nil {
 			return err
@@ -537,7 +408,7 @@ func (s *streamSession) PushBatch(batch []*activity.Activity) error {
 // stream — skips the online contract checks (the historical sequential
 // pass accepted per-host disorder too, producing whatever the ranker
 // makes of it).
-func (s *streamSession) replayPush(cp *activity.Activity) {
+func (s *Session) replayPush(cp *activity.Activity) {
 	if !cp.CtxK.Bound() {
 		activity.Bind(cp)
 	}
@@ -551,7 +422,7 @@ func (s *streamSession) replayPush(cp *activity.Activity) {
 	s.ingest(cp, h)
 }
 
-// debugShardClosure turns on assertChanClosure in every streamSession:
+// debugShardClosure turns on assertChanClosure in every Session:
 // the per-push check that no ChanKey ever resolves to two live
 // components — the invariant the shard-aware Fig. 5 predicate rests on
 // (ranker.matchingSendVisible). Tests flip it directly; set
@@ -564,7 +435,7 @@ var debugShardClosure = os.Getenv("CORE_DEBUG_SHARD_CLOSURE") != ""
 // straggler is detached onto a fresh root by design (a late link), so the
 // previous owner must then be sealed or already retired — never live and
 // growing.
-func (s *streamSession) assertChanClosure(cp *activity.Activity, root int32) {
+func (s *Session) assertChanClosure(cp *activity.Activity, root int32) {
 	if s.chanOwner == nil {
 		s.chanOwner = make(map[activity.ChanKey]int32)
 	}
@@ -593,7 +464,7 @@ func (s *streamSession) assertChanClosure(cp *activity.Activity, root int32) {
 // ingest assigns one classified activity to its flow component and
 // buffers it in per-host push order. The caller owns cp, which must be
 // bound.
-func (s *streamSession) ingest(cp *activity.Activity, h *sessHost) {
+func (s *Session) ingest(cp *activity.Activity, h *sessHost) {
 	lateBefore := s.inc.LateLinks()
 	root := s.inc.Add(cp)
 	if debugShardClosure {
@@ -637,13 +508,19 @@ func (s *streamSession) ingest(cp *activity.Activity, h *sessHost) {
 	s.pendingActs++
 }
 
-// Heartbeat implements sessionImpl: the host's agent asserts it is alive
-// and will never deliver an activity older than ts. The assertion
-// advances the host's watermark bound (quiet-but-healthy hosts stop
-// holding back emission) and the activity clock (seal horizons keep
-// advancing through traffic lulls). A stale heartbeat — older than the
-// host's newest delivered record — is ignored.
-func (s *streamSession) Heartbeat(host string, ts time.Duration) error {
+// Heartbeat records a liveness assertion from one host's agent: the host
+// is alive and will never deliver an activity with a timestamp older
+// than ts. It advances the watermark past quiet-but-healthy streams —
+// without it, an idle host with no horizon holds back every emission,
+// and an idle host with a long horizon delays them by that horizon. A
+// heartbeat also advances the activity clock that seal horizons measure
+// against, so correlation keeps flowing through traffic lulls. Stale
+// assertions (ts older than the host's newest record) are ignored.
+//
+// Like pushed timestamps, heartbeats are activity-time, never wall
+// clock: replaying the same push/heartbeat/drain sequence reproduces the
+// same output.
+func (s *Session) Heartbeat(host string, ts time.Duration) error {
 	if s.closed {
 		return fmt.Errorf("core: heartbeat on closed session")
 	}
@@ -666,7 +543,7 @@ func (s *streamSession) Heartbeat(host string, ts time.Duration) error {
 
 // noteEndpoint records a channel endpoint's owning host as a possible
 // future contributor to the component.
-func (s *streamSession) noteEndpoint(c *sessComponent, ip activity.Sym) {
+func (s *Session) noteEndpoint(c *sessComponent, ip activity.Sym) {
 	if hn, ok := s.ipHost[ip]; ok {
 		if _, declared := s.hosts[hn]; declared {
 			c.noteHost(hn)
@@ -676,7 +553,7 @@ func (s *streamSession) noteEndpoint(c *sessComponent, ip activity.Sym) {
 
 // mergeComponents is the flow.Incremental merge callback: the loser
 // root's buffers fold into the winner root's.
-func (s *streamSession) mergeComponents(winner, loser int32) {
+func (s *Session) mergeComponents(winner, loser int32) {
 	cw, cl := s.comps[winner], s.comps[loser]
 	if cl != nil {
 		delete(s.comps, loser)
@@ -697,7 +574,7 @@ func (s *streamSession) mergeComponents(winner, loser int32) {
 }
 
 // fuse merges two component buffers (the larger absorbs the smaller).
-func (s *streamSession) fuse(a, b *sessComponent, root int32) *sessComponent {
+func (s *Session) fuse(a, b *sessComponent, root int32) *sessComponent {
 	// A sealed component is already owned by the worker pool; its buffers
 	// must not be touched. Reaching one here is only possible when
 	// IPToHost fails to cover a declared host — degrade to under-merged
@@ -776,9 +653,11 @@ func mergeRuns(x, y []pushRec) []pushRec {
 	return out
 }
 
-// CloseHost implements sessionImpl: closing a stream is what seals
-// components and feeds the worker pool.
-func (s *streamSession) CloseHost(host string) error {
+// CloseHost marks one host's stream complete (its agent shut down). This
+// is what seals components absent a horizon: a flow component whose every
+// contributing host has closed can no longer grow and is handed to the
+// worker pool.
+func (s *Session) CloseHost(host string) error {
 	h, ok := s.hosts[activity.Syms.Intern(host)]
 	if !ok {
 		return fmt.Errorf("core: unknown host %q", host)
@@ -795,7 +674,7 @@ func (s *streamSession) CloseHost(host string) error {
 
 // sealCompleted seals every component that no open host can extend and
 // queues it for the worker pool, in deterministic creation order.
-func (s *streamSession) sealCompleted() {
+func (s *Session) sealCompleted() {
 	ready := s.sealReady[:0]
 	for _, c := range s.comps {
 		if c.sealed || s.growable(c) {
@@ -815,7 +694,7 @@ func (s *streamSession) sealCompleted() {
 // horizon-less host stops pinning its components open the moment it
 // closes. 0 means unbounded: some open contributing host has no
 // horizon, so only closure can seal the component.
-func (s *streamSession) compHorizon(c *sessComponent) time.Duration {
+func (s *Session) compHorizon(c *sessComponent) time.Duration {
 	var horizon time.Duration
 	for _, hn := range c.contrib {
 		hh := s.hosts[hn]
@@ -837,7 +716,7 @@ func (s *streamSession) compHorizon(c *sessComponent) time.Duration {
 // emission rule. Evaluated at Drain, against pushed/heartbeated
 // timestamps only, so replaying the same push/drain sequence reproduces
 // the same seals.
-func (s *streamSession) sealStale() {
+func (s *Session) sealStale() {
 	if !s.continuous {
 		return
 	}
@@ -859,14 +738,13 @@ func (s *streamSession) sealStale() {
 }
 
 // enqueue seals the given components and dispatches them to the worker
-// pool in deterministic creation order, as one batched ring push. In
-// continuous mode the flow partition tombstones each root, so a
-// straggler activity becomes a counted late link on a fresh component
-// instead of touching dispatched buffers — and the flow-bookkeeping
-// prune is scheduled here, at seal time, where maxTs is a deterministic
-// function of the event stream (absorption timing is pipelined and
-// therefore no longer deterministic).
-func (s *streamSession) enqueue(ready []*sessComponent) {
+// pool in deterministic creation order. In continuous mode the flow
+// partition tombstones each root, so a straggler activity becomes a
+// counted late link on a fresh component instead of touching dispatched
+// buffers — and the flow-bookkeeping prune is scheduled here, at seal
+// time, where maxTs is a deterministic function of the event stream
+// (absorption timing is pipelined and therefore not deterministic).
+func (s *Session) enqueue(ready []*sessComponent) {
 	// Ready batches are small (the components one drain retires);
 	// insertion sort spares the per-drain sort.Slice closures.
 	for i := 1; i < len(ready); i++ {
@@ -887,17 +765,19 @@ func (s *streamSession) enqueue(ready []*sessComponent) {
 			s.inc.SchedulePrune(c.root, s.maxTs+lag)
 		}
 	}
-	// Blocking push is safe here: workers always drain jobs, the
-	// collector always drains results, and stage 1 holds no locks — a
-	// full ring is backpressure, not deadlock.
-	s.jobs.PushBatch(ready)
-	s.dispatched += len(ready)
+	// A blocking send is safe here: workers always drain jobs and hold
+	// colMu only to append, and stage 1 holds no locks — a full channel
+	// is backpressure, not deadlock. Close closes jobs only after sealing
+	// every component, so no send can follow it (TestSessionAfterClose).
+	for _, c := range ready {
+		s.jobs <- c
+	}
 	s.shards += len(ready)
 }
 
 // growable reports whether any still-open declared host could push an
 // activity joining this component.
-func (s *streamSession) growable(c *sessComponent) bool {
+func (s *Session) growable(c *sessComponent) bool {
 	for _, hn := range c.contrib {
 		if hh := s.hosts[hn]; hh != nil && hh.open {
 			return true
@@ -906,11 +786,11 @@ func (s *streamSession) growable(c *sessComponent) bool {
 	return false
 }
 
-// harvest folds everything the collector has aggregated into the
+// harvest folds every shard result the workers have landed into the
 // session, without waiting for in-flight shards — the non-blocking half
-// of the stage-1/stage-2 handshake. The two buffers ping-pong so the
+// of the stage-1/worker handshake. The two buffers ping-pong so the
 // steady state allocates nothing.
-func (s *streamSession) harvest() {
+func (s *Session) harvest() {
 	s.colMu.Lock()
 	batch := s.colBuf
 	s.colBuf = s.colScratch[:0]
@@ -926,14 +806,13 @@ func (s *streamSession) harvest() {
 	s.colScratch = batch[:0]
 }
 
-// settle waits until every dispatched shard has been collected, then
-// absorbs the lot — the full barrier Drain and Close rely on. Waiting
-// cannot deadlock: workers drain the jobs ring and the collector drains
-// the results ring unconditionally, so every dispatched component's
-// result reaches collected.
-func (s *streamSession) settle() {
+// settle waits until every dispatched shard has landed, then absorbs
+// the lot — the full barrier Drain and Close rely on. Waiting cannot
+// deadlock: workers drain jobs unconditionally, so every dispatched
+// component's result reaches collected.
+func (s *Session) settle() {
 	s.colMu.Lock()
-	for s.collected < s.dispatched {
+	for s.collected < s.shards {
 		s.colReady.Wait()
 	}
 	s.colMu.Unlock()
@@ -943,7 +822,7 @@ func (s *streamSession) settle() {
 // absorb folds one shard result into the session aggregates. Runs on
 // stage 1 only (via harvest/settle), so the comps map and aggregates
 // stay single-owner.
-func (s *streamSession) absorb(r sessShardResult) {
+func (s *Session) absorb(r sessShardResult) {
 	s.pendingActs -= r.comp.size
 	s.uncounted += int(r.rstats.Delivered)
 	addRankerStats(&s.rstats, r.rstats)
@@ -978,7 +857,7 @@ func (s *streamSession) absorb(r sessShardResult) {
 // blocks emission forever. A push violating that presumption is the same
 // late-link event the forced seal accepts, and can regress the emitted
 // order (surfaced downstream via live.Monitor.OutOfOrder).
-func (s *streamSession) watermark() (time.Duration, bool) {
+func (s *Session) watermark() (time.Duration, bool) {
 	var wm time.Duration
 	bounded := false
 	note := func(t time.Duration) {
@@ -1012,7 +891,7 @@ func (s *streamSession) watermark() (time.Duration, bool) {
 // Strict inequality makes cross-batch ties impossible: any graph arriving
 // later comes from a component whose minimum timestamp was at or above
 // every watermark used before, so the released stream is globally sorted.
-func (s *streamSession) emit(all bool) {
+func (s *Session) emit(all bool) {
 	if len(s.finished) == 0 {
 		return
 	}
@@ -1044,10 +923,12 @@ func (s *streamSession) emit(all bool) {
 	s.finished = append(s.finished[:0:0], s.finished[cut:]...)
 }
 
-// Drain implements sessionImpl: force-seal stale components (continuous
-// mode), finish every decidable (sealed) component, and release what the
-// watermark permits.
-func (s *streamSession) Drain() int {
+// Drain runs the correlator until no further candidate is safely
+// decidable, returning the number of activities processed this call: it
+// force-seals components idle past their horizon (continuous mode), waits
+// for every dispatched component to finish correlating, and releases the
+// graphs the watermark permits.
+func (s *Session) Drain() int {
 	start := time.Now()
 	s.sealStale()
 	s.settle()
@@ -1061,16 +942,19 @@ func (s *streamSession) Drain() int {
 	return n
 }
 
-// Tick implements sessionImpl: the pipelined, non-blocking Drain. It
-// makes the same deterministic seal decisions (sealStale at the same
-// event-stream point with the same maxTs) but absorbs only the shards
-// the pool has already finished instead of waiting for the in-flight
-// ones — the caller keeps pushing while workers chew. Emission stays
-// safe: a sealed-but-in-flight component is still in the comps map, so
-// its earliest timestamp bounds the watermark and nothing that could
-// precede its graphs is released. The final output is byte-identical to
-// a Drain cadence; only the moment each graph is released shifts later.
-func (s *streamSession) Tick() int {
+// Tick is the non-blocking Drain: it makes the same deterministic seal
+// decisions at the same point in the event stream (sealStale with the
+// same maxTs), but releases only the graphs whose components the worker
+// pool has already finished, instead of waiting for the in-flight ones —
+// the pipelined cadence a live ingest front uses so pushing and
+// correlating overlap. Emission stays safe: a sealed-but-in-flight
+// component is still in the comps map, so its earliest timestamp bounds
+// the watermark and nothing that could precede its graphs is released.
+// Graphs emerge in the same deterministic order as under Drain; a Tick
+// cadence only shifts *when* each graph is released, never what it
+// contains or its order. A final Drain or Close delivers whatever Tick
+// left in flight.
+func (s *Session) Tick() int {
 	start := time.Now()
 	s.sealStale()
 	s.harvest()
@@ -1084,8 +968,9 @@ func (s *streamSession) Tick() int {
 	return n
 }
 
-// Close implements sessionImpl.
-func (s *streamSession) Close() *Result {
+// Close marks every stream complete, drains the remainder and returns the
+// final result. Closing twice returns the same result.
+func (s *Session) Close() *Result {
 	if s.closed {
 		return s.final
 	}
@@ -1095,11 +980,8 @@ func (s *streamSession) Close() *Result {
 	}
 	s.sealCompleted()
 	s.settle()
-	s.jobs.Close()
+	close(s.jobs)
 	s.wg.Wait()
-	s.results.Close()
-	s.colWG.Wait()
-	s.harvest()
 	s.emit(true)
 	s.workTime += time.Since(start)
 	s.closed = true
@@ -1118,20 +1000,23 @@ func (s *streamSession) Close() *Result {
 	return s.final
 }
 
-// AddSink implements sessionImpl: append one sink to the emission chain
-// and rebuild the fused delivery function. Must run before the first
-// Push — the chain is not synchronized against in-flight emission.
-func (s *streamSession) AddSink(sink GraphSink) {
+// AddSink appends one sink to the session's emission chain (see
+// Options.Sinks). It must be called before the first Push: the chain is
+// rebuilt in place and is not synchronized against in-flight emission.
+// Registering any sink switches the session to streaming —
+// Result.Graphs stays empty.
+func (s *Session) AddSink(sink GraphSink) {
 	s.opts.Sinks = append(s.opts.Sinks, sink)
 	s.deliver = s.opts.emitter()
 }
 
-// Graphs implements sessionImpl.
-func (s *streamSession) Graphs() []*cag.Graph { return s.emitted }
+// Graphs returns the CAGs completed so far (when not streaming via
+// OnGraph or Sinks).
+func (s *Session) Graphs() []*cag.Graph { return s.emitted }
 
-// Pending implements sessionImpl: activities pushed but not yet
+// Pending returns the number of activities buffered but not yet
 // correlated by a finished shard.
-func (s *streamSession) Pending() int { return s.pendingActs }
+func (s *Session) Pending() int { return s.pendingActs }
 
 // addRankerStats accumulates shard counters. Counter fields sum across
 // shards; PeakBuffered is aggregated separately (the Result reports the

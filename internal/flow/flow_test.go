@@ -1,7 +1,6 @@
 package flow
 
 import (
-	"testing"
 	"time"
 
 	"repro/internal/activity"
@@ -44,133 +43,4 @@ func twoRequests() []*activity.Activity {
 		)
 	}
 	return tr
-}
-
-func TestPartitionIndependentRequests(t *testing.T) {
-	tr := twoRequests()
-	for _, mode := range []Mode{ModeFlow, ModeContext} {
-		comps := Partition(tr, mode)
-		if len(comps) != 2 {
-			t.Fatalf("mode %s: got %d components, want 2", mode, len(comps))
-		}
-		for i, c := range comps {
-			if len(c.Activities) != 6 {
-				t.Fatalf("mode %s: component %d has %d activities, want 6", mode, i, len(c.Activities))
-			}
-		}
-		if comps[0].MinTimestamp >= comps[1].MinTimestamp {
-			t.Fatalf("mode %s: components not ordered by min timestamp", mode)
-		}
-	}
-}
-
-// TestPartitionThreadReuse is the case the two modes disagree on: the same
-// app thread serves both requests (pool reuse). ModeContext chains them
-// into one component; ModeFlow splits them at the epoch boundary because
-// the second request arrives on a connection unrelated to the first.
-func TestPartitionThreadReuse(t *testing.T) {
-	tr := twoRequests()
-	for _, a := range tr {
-		if a.Ctx.Host == "app" {
-			a.Ctx.TID = 20 // one shared thread
-		}
-	}
-	if got := Partition(tr, ModeContext); len(got) != 1 {
-		t.Fatalf("ModeContext: got %d components, want 1", len(got))
-	}
-	if got := Partition(tr, ModeFlow); len(got) != 2 {
-		t.Fatalf("ModeFlow: got %d components, want 2", len(got))
-	}
-}
-
-// TestPartitionPersistentConnection: both requests reuse one web→app
-// connection, so SEND/RECEIVE byte matching couples them and both modes
-// must keep them together.
-func TestPartitionPersistentConnection(t *testing.T) {
-	tr := twoRequests()
-	for _, a := range tr {
-		if a.Chan.Src.Port == 50001 {
-			a.Chan.Src.Port = 50000
-		}
-		if a.Chan.Dst.Port == 50001 {
-			a.Chan.Dst.Port = 50000
-		}
-	}
-	for _, mode := range []Mode{ModeFlow, ModeContext} {
-		if got := Partition(tr, mode); len(got) != 1 {
-			t.Fatalf("mode %s: got %d components, want 1", mode, len(got))
-		}
-	}
-}
-
-// TestPartitionInertReceiveKeepsEpoch: a noise RECEIVE (sender untraced,
-// no SEND anywhere on its directed channel) lands mid-request on the
-// worker's context. It must not break the request's epoch chain in
-// ModeFlow — the request stays one component, and the noise files under
-// its own connection.
-func TestPartitionInertReceiveKeepsEpoch(t *testing.T) {
-	tr := twoRequests()[:6] // one request
-	noise := mk(99, activity.Receive, 2500*time.Microsecond, "web", 10, "10.0.0.99", "10.0.0.1", 6000, 22, 64)
-	tr = append(tr[:2:2], append([]*activity.Activity{noise}, tr[2:]...)...)
-	comps := Partition(tr, ModeFlow)
-	if len(comps) != 2 {
-		t.Fatalf("got %d components, want 2 (request + noise)", len(comps))
-	}
-	// The request component holds the six real activities.
-	var sizes []int
-	for _, c := range comps {
-		sizes = append(sizes, len(c.Activities))
-	}
-	if !(sizes[0] == 6 && sizes[1] == 1) && !(sizes[0] == 1 && sizes[1] == 6) {
-		t.Fatalf("component sizes %v, want {6,1}", sizes)
-	}
-}
-
-// TestPartitionHostRuns verifies the per-host run slicing contract:
-// sorted host order, local-timestamp order within each run.
-func TestPartitionHostRuns(t *testing.T) {
-	comps := Partition(twoRequests(), ModeFlow)
-	for _, c := range comps {
-		runs := c.HostRuns()
-		if len(runs) != 2 {
-			t.Fatalf("got %d host runs, want 2", len(runs))
-		}
-		if runs[0][0].Ctx.Host != "app" || runs[1][0].Ctx.Host != "web" {
-			t.Fatalf("host runs out of order: %s, %s", runs[0][0].Ctx.Host, runs[1][0].Ctx.Host)
-		}
-		for _, run := range runs {
-			for i := 1; i < len(run); i++ {
-				if run[i].Timestamp < run[i-1].Timestamp {
-					t.Fatal("run not in local-timestamp order")
-				}
-				if run[i].Ctx.Host != run[0].Ctx.Host {
-					t.Fatal("run mixes hosts")
-				}
-			}
-		}
-	}
-}
-
-func TestPartitionEmptyAndUnsorted(t *testing.T) {
-	if got := Partition(nil, ModeFlow); got != nil {
-		t.Fatalf("empty trace: got %v, want nil", got)
-	}
-	// Reversed input must still produce per-host sorted runs.
-	tr := twoRequests()
-	for i, j := 0, len(tr)-1; i < j; i, j = i+1, j-1 {
-		tr[i], tr[j] = tr[j], tr[i]
-	}
-	comps := Partition(tr, ModeFlow)
-	if len(comps) != 2 {
-		t.Fatalf("got %d components, want 2", len(comps))
-	}
-	for _, c := range comps {
-		for _, run := range c.HostRuns() {
-			for i := 1; i < len(run); i++ {
-				if run[i].Timestamp < run[i-1].Timestamp {
-					t.Fatal("unsorted input not normalised")
-				}
-			}
-		}
-	}
 }

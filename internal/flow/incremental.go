@@ -6,24 +6,23 @@ import (
 	"repro/internal/activity"
 )
 
-// Incremental is the online variant of Partition: it assigns each pushed
-// activity to a flow component *as it arrives*, merging components
-// whenever a TCP connection or a context epoch links them. It powers the
-// sharded push-mode Session (internal/core): the session keys its
-// per-component buffers on the roots returned by Add and fuses them in
-// the OnMerge callback.
+// Incremental is the flow partitioner: it assigns each pushed activity
+// to a flow component *as it arrives*, merging components whenever a TCP
+// connection or a context epoch links them. It powers the streaming
+// Session (internal/core), which every correlation mode runs: the session
+// keys its per-component buffers on the roots returned by Add and fuses
+// them in the OnMerge callback.
 //
-// The closure computed is the same relation Partition closes over, with
-// one deliberate difference in ModeFlow: the batch scan can consult the
-// whole trace to see whether a directed channel ever carries a SEND (the
-// "inert receive" refinement — a RECEIVE on a send-less direction files
-// under its connection without touching the context's epoch). Online, a
-// RECEIVE may arrive before the SEND logged on its peer host, so the
-// send-less case cannot be distinguished from a not-yet-seen SEND. Add
-// therefore joins such a RECEIVE to both its connection and the context's
-// current epoch. That can only *coarsen* components relative to the batch
-// partition — extra unions never remove closure links — so per-component
-// correlation stays exact; shards are merely sometimes larger.
+// The closure computed is the relation described in the package doc,
+// with one deliberate coarsening in ModeFlow. A RECEIVE on a direction
+// that never carries a SEND is inert — the engine can never match it — so
+// a scan that saw the whole trace could file it under its connection
+// without touching the context's epoch. Online, a RECEIVE may arrive
+// before the SEND logged on its peer host, so the send-less case cannot
+// be distinguished from a not-yet-seen SEND. Add therefore joins such a
+// RECEIVE to both its connection and the context's current epoch. Extra
+// unions never remove closure links, so per-component correlation stays
+// exact; shards are merely sometimes larger.
 //
 // Determinism: for a fixed sequence of Add calls the assignments, merges
 // and final roots are fully deterministic. Add is not safe for concurrent
@@ -107,8 +106,8 @@ func NewIncremental(mode Mode, onMerge func(winner, loser int32)) *Incremental {
 // EnablePruning turns on the reverse index Prune needs to free a
 // component's map entries. Must be called before the first Add: the
 // index is complete only if every key was recorded from the start.
-// Callers that never retire components (close-driven sessions, batch
-// scans) skip it and pay no per-key tracking cost.
+// Callers that never retire components (close-driven sessions) skip it
+// and pay no per-key tracking cost.
 func (in *Incremental) EnablePruning() {
 	in.keys = make(map[int32]*compKeys)
 }
@@ -259,9 +258,8 @@ func (in *Incremental) Add(a *activity.Activity) int32 {
 		return in.d.find(cn)
 	}
 
-	// ModeFlow: scope the context relation to request epochs, exactly as
-	// the batch scan does, except for the online inert-receive treatment
-	// documented on the type.
+	// ModeFlow: scope the context relation to request epochs, with the
+	// online inert-receive treatment documented on the type.
 	//
 	// A sealed current epoch matters only on the paths that would union
 	// into it (the channel() detach guarantees ch is never sealed, so the
@@ -287,11 +285,11 @@ func (in *Incremental) Add(a *activity.Activity) int32 {
 		case ok && in.d.find(e) == in.d.find(ch):
 			n = e
 		case !ci.sendful:
-			// No SEND seen on this direction *yet*. The batch scan would
-			// file a provably send-less RECEIVE under its connection
-			// alone; online the SEND may simply not have been pushed, so
-			// join the connection to the current epoch without breaking
-			// it — coarser, never under-merged.
+			// No SEND seen on this direction *yet*. A provably send-less
+			// RECEIVE could file under its connection alone, but online
+			// the SEND may simply not have been pushed, so join the
+			// connection to the current epoch without breaking it —
+			// coarser, never under-merged.
 			if ok && in.sealed(e) {
 				// Fresh connection, retired epoch: a reused idle thread
 				// starting new work. Joining the old epoch was only the
@@ -419,10 +417,6 @@ func (in *Incremental) PruneBefore(clock time.Duration) int {
 // Root resolves a component id previously returned by Add to its current
 // root, following any merges since.
 func (in *Incremental) Root(n int32) int32 { return in.d.find(n) }
-
-// Components returns the number of union-find nodes allocated so far —
-// an upper bound on live components, for diagnostics.
-func (in *Incremental) Components() int { return len(in.d.parent) }
 
 // LateLinks returns how many added activities genuinely linked to a
 // sealed (dispatched) component — arrived on one of its connections, or

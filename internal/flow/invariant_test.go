@@ -14,8 +14,7 @@ import (
 // reuse, thread-pool reuse, send-less noise RECEIVEs and fully random
 // arrival orders — including RECEIVE arriving before its SEND, the
 // over-merge case — no ChanKey may ever land in two components. Checked
-// for the online Incremental partitioner in both modes and for the batch
-// Partition/PartitionParallel scans.
+// for the Incremental partitioner in both modes.
 func TestChanKeyNeverSplits(t *testing.T) {
 	for seed := int64(0); seed < 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -33,30 +32,10 @@ func TestChanKeyNeverSplits(t *testing.T) {
 				norm := normChan(a.ChanK)
 				root := inc.Root(roots[i])
 				if prev, ok := owner[norm]; ok && prev != root {
-					t.Fatalf("seed %d mode %s: ChanKey %v split across components %d and %d (incremental)",
+					t.Fatalf("seed %d mode %s: ChanKey %v split across components %d and %d",
 						seed, mode, norm, prev, root)
 				}
 				owner[norm] = root
-			}
-
-			for _, part := range []struct {
-				name  string
-				comps []Component
-			}{
-				{"batch", Partition(tr, mode)},
-				{"parallel", PartitionParallel(tr, mode, 4)},
-			} {
-				seen := make(map[activity.ChanKey]int)
-				for ci, c := range part.comps {
-					for _, a := range c.Activities {
-						norm := normChan(a.ChanK)
-						if prev, ok := seen[norm]; ok && prev != ci {
-							t.Fatalf("seed %d mode %s: ChanKey %v split across %s components %d and %d",
-								seed, mode, norm, part.name, prev, ci)
-						}
-						seen[norm] = ci
-					}
-				}
 			}
 		}
 	}

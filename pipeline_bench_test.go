@@ -215,12 +215,14 @@ func BenchmarkMonitorIngestSketched(b *testing.B) {
 }
 
 // TestPipelineSpeedupTrajectory measures the sharded correlator against
-// the sequential pass across RUBiS scales and worker counts, and records
-// the trajectory in BENCH_pipeline.json. On a multi-core machine the
-// sharded pipeline must beat sequential wall-clock at scale >= 0.1; on a
-// single-CPU machine there is no parallelism to win with (the pipeline
-// pays partition + merge overhead and gets no concurrent shard
-// execution), so the comparison is recorded but not asserted.
+// the sequential pass across RUBiS scales and worker counts. On a
+// multi-core machine the sharded pipeline must beat sequential wall-clock
+// at scale >= 0.1; on a single-CPU machine there is no parallelism to win
+// with (the pipeline pays partition + merge overhead and gets no
+// concurrent shard execution), so the comparison is logged but not
+// asserted. The trajectory is written to BENCH_pipeline.json only under
+// BENCH_SCALING_GATE=1 (the hosted bench job), so a plain `go test ./...`
+// never dirties the checked-in file.
 func TestPipelineSpeedupTrajectory(t *testing.T) {
 	if testing.Short() {
 		t.Skip("speedup trajectory is not measured in -short mode")
@@ -315,7 +317,7 @@ func TestPipelineSpeedupTrajectory(t *testing.T) {
 	// largest scale pinned to a single P. Speedup there measures pure
 	// pipeline overhead (there is no parallel hardware to win with), so
 	// comparing the GoMaxProcs:1 rows against the unpinned rows separates
-	// "the ring/pipeline costs X" from "the hardware delivers Y". A
+	// "the pipeline costs X" from "the hardware delivers Y". A
 	// single-CPU host already *is* the pinned configuration — no rerun.
 	if multiCore && resTenth != nil {
 		prev := runtime.GOMAXPROCS(1)
@@ -428,8 +430,10 @@ func TestPipelineSpeedupTrajectory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile("BENCH_pipeline.json", append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
+	if os.Getenv("BENCH_SCALING_GATE") == "1" {
+		if err := os.WriteFile("BENCH_pipeline.json", append(data, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	if multiCore {
@@ -456,6 +460,6 @@ func TestPipelineSpeedupTrajectory(t *testing.T) {
 				runtime.NumCPU(), bestPar, seq)
 		}
 	} else {
-		t.Logf("single-CPU host: skipping the multi-core speedup assertion (results recorded in BENCH_pipeline.json)")
+		t.Logf("single-CPU host: skipping the multi-core speedup assertion")
 	}
 }

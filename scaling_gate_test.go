@@ -19,7 +19,8 @@ import (
 // floor. The floor (SCALING_FLOOR, default 0.30) is deliberately well
 // under the efficiency a healthy run shows: the gate exists to catch a
 // regression that serialises the pipeline (a lock on the hot path, a
-// barrier where the ring should stream), not to flake on a noisy host.
+// barrier where the jobs channel should stream), not to flake on a noisy
+// host.
 //
 // The gate only runs when BENCH_SCALING_GATE=1 — wall-clock assertions
 // do not belong in the default `go test ./...` tier.
