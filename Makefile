@@ -5,8 +5,9 @@
 #
 # The race and bench targets exist because of the concurrent correlation
 # pipeline (core.Options.Workers > 1): every change to core, flow, ranker
-# or engine must keep `go test -race ./...` clean and should watch the
-# BenchmarkCorrelateSharded numbers.
+# or engine must keep `go test -race ./...` clean and should compare the
+# end-to-end benchmark against its parent (python3 perfbench/run.py; see
+# perfbench/README.md).
 
 GO ?= go
 
@@ -18,9 +19,9 @@ GO ?= go
 # sketches and export sinks live in.
 COVER_MIN ?= 85
 
-.PHONY: ci vet lint build test race cover bench bench-allocs bench-promote bench-scaling soak soak-short
+.PHONY: ci vet lint build test race cover bench bench-allocs bench-promote bench-scaling soak soak-short perfbench
 
-ci: vet lint build test race cover bench bench-allocs soak-short
+ci: vet lint build test race cover bench bench-allocs soak-short perfbench
 
 vet:
 	$(GO) vet ./...
@@ -43,6 +44,12 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# The benchmark is its own module (perfbench/go.mod), so the root ./...
+# patterns above skip it. Vetting and testing it here makes a change to
+# an API it uses fail in CI, not first in the benchmark run.
+perfbench:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 cover:
 	$(GO) test -coverprofile=coverage.out ./internal/core ./internal/flow ./internal/live ./internal/sketch ./internal/export

@@ -199,7 +199,7 @@
 //
 // Because the session's output depends only on per-host record order —
 // which the sequence protocol preserves exactly — a networked run drains
-// an OnGraph stream byte-identical to an in-process replay of the same
+// a sink stream byte-identical to an in-process replay of the same
 // logs (TestNetworkedEquivalence), no matter how connections interleave,
 // bounce, or resume. Agent death degrades, never corrupts: with seal
 // horizons configured, a dead host's components force-seal
@@ -237,15 +237,15 @@
 //
 // # Batched ingest and record ownership
 //
-// Session.PushBatch feeds a run of records in order as one call — the
-// shape a decoded transport frame arrives in — and core.Ingest.PushBatch
-// moves a whole frame through the bounded queue as one operation instead
-// of one hop per record. Batching changes only the queue traffic: the
-// ingest goroutine applies batch records individually with the same
-// drain cadence as single pushes, so a batched stream's output stays
-// byte-identical to its unbatched equivalent. Errors remain sticky per
-// host; the first failure silences the rest of that host's records
-// within the batch and leaves other hosts untouched.
+// core.Ingest.PushBatch is the one way records enter the serialized
+// front: it moves a whole decoded transport frame through the bounded
+// queue as one operation instead of one hop per record. Batching changes
+// only the queue traffic: the ingest goroutine applies the records one
+// by one through Session.Push, each counting toward the drain cadence,
+// so the output does not depend on how a stream was cut into frames.
+// Errors remain sticky per host; the first failure silences the rest of
+// that host's records within the batch and leaves other hosts
+// untouched.
 //
 // # Export & live analytics
 //
@@ -253,17 +253,16 @@
 // core.GraphSink. Options.Sinks (and IngestOptions.Sinks for the
 // networked front) register any number of sinks on the session's
 // emission chain; each finished graph is delivered to every sink, in
-// registration order, on the emitter goroutine, in the same
-// deterministic END-timestamp order the OnGraph callback gets (OnGraph
-// is the single-callback special case and fires first). Registering
-// any sink switches the session to streaming: Result.Graphs stays
-// empty, exactly as with OnGraph; core.Collect is the sink that gathers
-// graphs back into a slice when a consumer wants both. Ownership
-// follows the pooled-record rules above: an emitted graph and its
-// vertices are immutable from emission on, so a sink may retain the
-// graph but must never mutate it — the underlying Records of a
-// networked run return to the activity pool, which is why export sinks
-// serialize eagerly in ConsumeGraph instead of deferring to Close.
+// registration order, on the emitter goroutine, in deterministic
+// END-timestamp order; core.GraphSinkFunc registers a plain function.
+// Registering any sink switches the session to streaming: Result.Graphs
+// stays empty; core.Collect is the sink that gathers graphs back into a
+// slice when a consumer wants both. Ownership follows the pooled-record
+// rules below: an emitted graph and its vertices are immutable from
+// emission on, so a sink may retain the graph but must never mutate it —
+// the underlying Records of a networked run return to the activity
+// pool, which is why export sinks serialize eagerly in ConsumeGraph
+// instead of deferring to Close.
 //
 // live.Monitor is itself a GraphSink, and internal/export provides the
 // rest: an OTLP-JSON exporter (NDJSON file or batched OTLP/HTTP POST),
@@ -309,7 +308,6 @@
 // it keeps at apply time, and IngestOptions.Release — wired to
 // activity.ReleaseRecord in the networked deployment — returns each
 // batch record to the pool once the ingest goroutine is done with it,
-// applied or skipped. A PushBatch caller owns neither the slice nor the
-// records after the call succeeds; single-record Push callers keep
-// ownership of theirs.
+// applied, errored or skipped. A PushBatch caller owns neither the slice
+// nor the records after the call succeeds.
 package repro

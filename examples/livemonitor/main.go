@@ -43,13 +43,13 @@ func main() {
 			log.Fatal(err)
 		}
 		count := 0
-		// OnGraph streams each finished CAG as the correlator emits it —
+		// The sink receives each finished CAG as the correlator emits it —
 		// the engine never accumulates, the monitor sees requests "live".
 		_, err = core.New(core.Options{
 			Window:     10 * time.Millisecond,
 			EntryPorts: []int{rubis.EntryPort},
 			IPToHost:   res.IPToHost,
-			OnGraph: func(g *cag.Graph) {
+			Sinks: []core.GraphSink{core.GraphSinkFunc(func(g *cag.Graph) {
 				// Each run's virtual clock restarts; shift to keep the
 				// monitor's wall time monotone across runs.
 				for _, v := range g.Vertices() {
@@ -57,7 +57,7 @@ func main() {
 				}
 				monitor.Ingest(g)
 				count++
-			},
+			})},
 		}).CorrelateTrace(res.Trace)
 		if err != nil {
 			log.Fatal(err)

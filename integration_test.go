@@ -138,12 +138,12 @@ func TestOnlineWorkflow(t *testing.T) {
 			Window:     10 * time.Millisecond,
 			EntryPorts: []int{rubis.EntryPort},
 			IPToHost:   res.IPToHost,
-			OnGraph: func(g *cag.Graph) {
+			Sinks: []core.GraphSink{core.GraphSinkFunc(func(g *cag.Graph) {
 				for _, v := range g.Vertices() {
 					v.Timestamp += shift
 				}
 				monitor.Ingest(g)
-			},
+			})},
 		}, hosts)
 		if err != nil {
 			t.Fatal(err)

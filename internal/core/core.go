@@ -71,22 +71,16 @@ type Options struct {
 	// liveness, which keeps accuracy at 100% under clock skew.
 	PaperExactNoise bool
 
-	// OnGraph, when non-nil, streams each finished CAG instead of
-	// accumulating all of them in the Result — bounding the output side
-	// for long traces. The watermark emitter invokes the callback from one
-	// goroutine in deterministic END-timestamp order, releasing graphs
-	// incrementally as the completion watermark advances; the offline
-	// replay fires the same callback while draining, before the Correlate
-	// call returns. OnGraph is the single-callback special case of Sinks;
-	// when both are set, OnGraph fires first.
-	OnGraph func(*cag.Graph)
-
-	// Sinks is the composable emission chain: every finished CAG is
-	// delivered to each sink in order, on the emitter goroutine, in the
-	// same deterministic END-timestamp order as OnGraph. Any registered
-	// sink streams the output (Result.Graphs stays empty); use a Collect
-	// sink to keep the batch view alongside streaming consumers. See
-	// GraphSink for the ownership contract.
+	// Sinks is the emission chain: every finished CAG is delivered to
+	// each sink in order instead of accumulating in the Result — bounding
+	// the output side for long traces. The watermark emitter calls the
+	// sinks from one goroutine in deterministic END-timestamp order,
+	// releasing graphs incrementally as the completion watermark
+	// advances; the offline replay calls them while draining, before the
+	// Correlate call returns. Any registered sink streams the output
+	// (Result.Graphs stays empty); use a Collect sink to keep the batch
+	// view alongside streaming consumers, and GraphSinkFunc to register a
+	// plain function. See GraphSink for the ownership contract.
 	Sinks []GraphSink
 
 	// Workers sizes the streaming engine's correlation pool. 0 or 1 keeps
@@ -101,11 +95,6 @@ type Options struct {
 	// ShardBy selects the partition policy of the streaming engine's flow
 	// components; see ShardMode.
 	ShardBy ShardMode
-
-	// BatchSize is retained for configuration compatibility; the
-	// streaming engine dispatches components individually. Negative
-	// values are rejected.
-	BatchSize int
 
 	// SealAfter, when positive, turns the session into a continuous
 	// correlator: a flow component whose newest activity is more than
@@ -158,9 +147,6 @@ type Options struct {
 func (o *Options) validate() error {
 	if o.Workers < 0 {
 		return fmt.Errorf("core: Workers must be >= 0 (got %d); use ResolveWorkers for CLI-style flags", o.Workers)
-	}
-	if o.BatchSize < 0 {
-		return fmt.Errorf("core: BatchSize must be >= 0 (got %d)", o.BatchSize)
 	}
 	if o.SealAfter < 0 {
 		return fmt.Errorf("core: SealAfter must be >= 0 (got %v)", o.SealAfter)
@@ -300,7 +286,7 @@ func ParseSealAfterSpec(spec string) (time.Duration, map[string]time.Duration, e
 // Result is the outcome of a correlation run.
 type Result struct {
 	// Graphs holds the finished CAGs in completion order (empty when
-	// streaming via OnGraph or Sinks).
+	// streaming via Sinks).
 	Graphs []*cag.Graph
 
 	// CorrelationTime is the wall-clock time spent ranking + constructing —
@@ -423,8 +409,8 @@ func (c *Correlator) CorrelateSources(sources []ranker.Source, totalHint int) (*
 // hot loop: every sealed flow component of the streaming engine runs it
 // over the component's sources, so the execution modes cannot drift
 // apart.
-func (c *Correlator) drive(sources []ranker.Source, engOpts ...engine.Option) (*ranker.Ranker, *engine.Engine) {
-	eng := engine.New(engOpts...)
+func (c *Correlator) drive(sources []ranker.Source) (*ranker.Ranker, *engine.Engine) {
+	eng := engine.New()
 	rk := ranker.New(c.rankerConfig(), eng, sources)
 	c.driveLoop(rk, eng)
 	return rk, eng

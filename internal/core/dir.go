@@ -57,7 +57,7 @@ func (s *classifySource) Pop() *activity.Activity {
 // which buffers each flow component until it seals: configure a seal
 // horizon (Options.SealAfter / SealAfterByHost) to bound that buffering on
 // long inputs — with one, memory tracks recently-active components instead
-// of the trace size. Use Options.OnGraph to also bound the output side.
+// of the trace size. Use Options.Sinks to also bound the output side.
 //
 // If Options.IPToHost is nil the traced-node map is inferred with a cheap
 // first pass over the logs.

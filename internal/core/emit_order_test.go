@@ -10,7 +10,7 @@ import (
 
 // TestSessionEmitOrderRandomized is the emitter-ordering property test:
 // across seeded random interleavings of drains, host closures, pool sizes
-// and seal-horizon configurations, the OnGraph stream must always be
+// and seal-horizon configurations, the sink stream must always be
 // non-decreasing in END timestamp and must deliver exactly the offline
 // reference set — no duplicates, no drops.
 //
@@ -55,7 +55,7 @@ func TestSessionEmitOrderRandomized(t *testing.T) {
 			}
 		}
 		var emitted []*cag.Graph
-		opts.OnGraph = func(g *cag.Graph) { emitted = append(emitted, g) }
+		opts.Sinks = []GraphSink{GraphSinkFunc(func(g *cag.Graph) { emitted = append(emitted, g) })}
 		sess, err := NewSession(opts, hosts)
 		if err != nil {
 			t.Fatal(err)

@@ -371,7 +371,6 @@ func TestOptionsValidation(t *testing.T) {
 		frag   string
 	}{
 		{"negative workers", func(o *Options) { o.Workers = -1 }, "Workers"},
-		{"negative batch", func(o *Options) { o.BatchSize = -2 }, "BatchSize"},
 		{"negative sealafter", func(o *Options) { o.SealAfter = -time.Second }, "SealAfter"},
 		{"zero per-host horizon", func(o *Options) {
 			o.SealAfterByHost = map[string]time.Duration{"db1": 0}

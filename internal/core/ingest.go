@@ -15,9 +15,9 @@ var ErrIngestClosed = errors.New("core: ingest closed")
 // IngestOptions parametrises the serialized ingest front.
 type IngestOptions struct {
 	// Buffer is the bounded operation queue depth — the backpressure
-	// valve. When correlation falls behind, the queue fills, Push blocks,
-	// the network collector stops reading its sockets, and TCP pushes the
-	// stall back to the agents. Default 1024.
+	// valve. When correlation falls behind, the queue fills, PushBatch
+	// blocks, the network collector stops reading its sockets, and TCP
+	// pushes the stall back to the agents. Default 1024.
 	Buffer int
 
 	// DrainEvery is how many applied operations elapse between drain
@@ -40,7 +40,7 @@ type IngestOptions struct {
 
 	// OnApplied, when non-nil, observes every applied record (ts = its
 	// timestamp) and heartbeat, on the ingest goroutine — the same
-	// goroutine that fires the session's OnGraph, so a live.Monitor may be
+	// goroutine that fires the session's sinks, so a live.Monitor may be
 	// driven from both without extra locking.
 	OnApplied func(host string, ts time.Duration)
 
@@ -48,8 +48,7 @@ type IngestOptions struct {
 	// ingest goroutine is done with it (applied, or skipped on an error) —
 	// the hook that returns pooled decode-side records to their pool
 	// (activity.ReleaseRecord). The session has copied whatever it keeps
-	// by then. Single-record Push callers keep ownership of their records;
-	// only batched records are released.
+	// by then.
 	Release func(a *activity.Activity)
 
 	// Sinks are appended to the wrapped session's emission chain before
@@ -62,15 +61,15 @@ type IngestOptions struct {
 // Ingest is the serialized front of a Session: Sessions demand
 // single-goroutine use, the network collector delivers from one goroutine
 // per agent connection. Ingest owns the session goroutine and funnels
-// concurrent Push/Heartbeat/CloseHost calls through a bounded queue,
+// concurrent PushBatch/Heartbeat/CloseHost calls through a bounded queue,
 // draining on the configured cadence. It satisfies transport.Sink.
 //
 // Errors are sticky per host: the first failure of a host's operation
 // (timestamp regression, unknown host, push-after-close) is recorded and
 // returned to that host's next caller, without disturbing other streams.
-// Record application is asynchronous — a Push error may surface one call
-// late — but CloseHost is synchronous, so a transport CLOSE ack really
-// means "stream fully applied and sealed".
+// Record application is asynchronous — a PushBatch error may surface one
+// call late — but CloseHost is synchronous, so a transport CLOSE ack
+// really means "stream fully applied and sealed".
 type Ingest struct {
 	session *Session
 	opts    IngestOptions
@@ -89,8 +88,7 @@ type Ingest struct {
 type ingestOpKind uint8
 
 const (
-	opRecord ingestOpKind = iota
-	opBatch
+	opBatch ingestOpKind = iota
 	opHeartbeat
 	opCloseHost
 	opSync
@@ -98,7 +96,6 @@ const (
 
 type ingestOp struct {
 	kind  ingestOpKind
-	rec   *activity.Activity
 	recs  []*activity.Activity // opBatch
 	host  string
 	ts    time.Duration
@@ -128,21 +125,13 @@ func NewIngest(s *Session, opts IngestOptions) *Ingest {
 	return in
 }
 
-// Push offers one record, blocking while the queue is full. Safe for
-// concurrent use; records of one host must still arrive in host order
-// (call it from one goroutine per host, as the collector does).
-func (in *Ingest) Push(a *activity.Activity) error {
-	if err := in.stickyErr(a.Ctx.Host); err != nil {
-		return err
-	}
-	return in.send(ingestOp{kind: opRecord, rec: a, host: a.Ctx.Host})
-}
-
 // PushBatch offers a whole run of records — typically one decoded
 // transport frame — as a single queue operation, blocking while the
-// queue is full. The records are applied in order on the ingest
-// goroutine with the same drain cadence as individual pushes, so a
-// batched stream is indistinguishable from its unbatched equivalent. An
+// queue is full. Safe for concurrent use; records of one host must still
+// arrive in host order (call it from one goroutine per host, as the
+// collector does). The records are applied in order on the ingest
+// goroutine, each counting toward the drain cadence on its own, so how
+// a stream is cut into batches does not change the output. An
 // error during application becomes the host's sticky error and the rest
 // of that host's records in the batch are skipped; other hosts' records
 // are unaffected. The ingest takes ownership of the batch slice and its
@@ -277,11 +266,6 @@ func (in *Ingest) run() {
 func (in *Ingest) apply(op ingestOp, sinceDrain *int) {
 	var err error
 	switch op.kind {
-	case opRecord:
-		err = in.session.Push(op.rec)
-		if err == nil && in.opts.OnApplied != nil {
-			in.opts.OnApplied(op.host, op.rec.Timestamp)
-		}
 	case opBatch:
 		in.applyBatch(op.recs, sinceDrain)
 		return
@@ -306,7 +290,7 @@ func (in *Ingest) apply(op ingestOp, sinceDrain *int) {
 	if err != nil && op.host != "" {
 		in.recordErr(op.host, err)
 	}
-	if op.kind == opRecord || op.kind == opHeartbeat {
+	if op.kind == opHeartbeat {
 		*sinceDrain++
 		if *sinceDrain >= in.opts.DrainEvery {
 			in.session.Tick()
@@ -315,12 +299,12 @@ func (in *Ingest) apply(op ingestOp, sinceDrain *int) {
 	}
 }
 
-// applyBatch applies one PushBatch run record by record, preserving the
-// exact drain cadence of individually pushed records — a batched stream
-// must stay byte-identical to its unbatched equivalent. The first error
-// of a host becomes its sticky error and silences the rest of that
-// host's records within the batch; every record is handed to Release
-// once it is done with (the session copied what it kept).
+// applyBatch applies one PushBatch run record by record, counting each
+// record toward the drain cadence — the output must not depend on how a
+// stream was cut into batches. The first error of a host becomes its
+// sticky error and silences the rest of that host's records within the
+// batch; every record is handed to Release once it is done with (the
+// session copied what it kept).
 func (in *Ingest) applyBatch(recs []*activity.Activity, sinceDrain *int) {
 	var erred []string // hosts errored within this batch (almost always ≤ 1)
 	skip := func(host string) bool {

@@ -11,13 +11,18 @@ import (
 	"repro/internal/cag"
 )
 
+// ingestOpts registers onGraph as the only sink; nil registers none
+// (GraphSinkFunc(nil) would be a sink that panics on the first graph).
 func ingestOpts(onGraph func(*cag.Graph)) Options {
-	return Options{
+	opts := Options{
 		Window:     10 * time.Millisecond,
 		EntryPorts: []int{80},
 		IPToHost:   map[string]string{"10.0.0.1": "web1", "10.0.0.2": "db1"},
-		OnGraph:    onGraph,
 	}
+	if onGraph != nil {
+		opts.Sinks = []GraphSink{GraphSinkFunc(onGraph)}
+	}
+	return opts
 }
 
 // singleHostRequest emits one two-record request on web1 with the given
@@ -52,7 +57,7 @@ func TestIngestConcurrentProducers(t *testing.T) {
 		Window:     10 * time.Millisecond,
 		EntryPorts: []int{80},
 		IPToHost:   map[string]string{"10.0.0.1": "w0"},
-		OnGraph:    func(*cag.Graph) { emitted++ },
+		Sinks:      []GraphSink{GraphSinkFunc(func(*cag.Graph) { emitted++ })},
 	}, names)
 	if err != nil {
 		t.Fatal(err)
@@ -69,11 +74,9 @@ func TestIngestConcurrentProducers(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for r := 0; r < perHost; r++ {
-				for _, a := range singleHostRequest(h, r) {
-					if err := in.Push(a); err != nil {
-						t.Errorf("%s: %v", h, err)
-						return
-					}
+				if err := in.PushBatch(singleHostRequest(h, r)); err != nil {
+					t.Errorf("%s: %v", h, err)
+					return
 				}
 			}
 			last := time.Duration(perHost) * 10 * time.Millisecond
@@ -104,7 +107,7 @@ func TestIngestConcurrentProducers(t *testing.T) {
 	if res2 := in.Close(); res2 != res {
 		t.Fatal("second Close returned a different result")
 	}
-	if err := in.Push(singleHostRequest("w0", 0)[0]); !errors.Is(err, ErrIngestClosed) {
+	if err := in.PushBatch(singleHostRequest("w0", 0)); !errors.Is(err, ErrIngestClosed) {
 		t.Fatalf("push after close: %v", err)
 	}
 	if err := in.Sync(); !errors.Is(err, ErrIngestClosed) {
@@ -120,21 +123,17 @@ func TestIngestStickyHostError(t *testing.T) {
 		t.Fatal(err)
 	}
 	in := NewIngest(s, IngestOptions{})
-	good := singleHostRequest("web1", 1)
-	for _, a := range good {
-		if err := in.Push(a); err != nil {
-			t.Fatal(err)
-		}
+	if err := in.PushBatch(singleHostRequest("web1", 1)); err != nil {
+		t.Fatal(err)
 	}
 	// Regressing timestamp: rejected by the session, recorded sticky.
-	bad := singleHostRequest("web1", 0)[0]
-	if err := in.Push(bad); err != nil {
+	if err := in.PushBatch(singleHostRequest("web1", 0)[:1]); err != nil {
 		t.Fatalf("async push reported immediately: %v", err)
 	}
 	if err := in.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	if err := in.Push(good[0]); err == nil {
+	if err := in.PushBatch(singleHostRequest("web1", 2)); err == nil {
 		t.Fatal("sticky error not surfaced to web1")
 	} else if err2 := in.Heartbeat("web1", time.Second); err2 == nil {
 		t.Fatal("sticky error not surfaced to web1 heartbeat")
@@ -183,12 +182,10 @@ func TestIngestWallClockFlush(t *testing.T) {
 	// Request 0 completes, then request 5's opening record advances the
 	// activity clock far past the horizon. No drain is op-driven
 	// (DrainEvery is huge), so only the flush timer can seal and emit.
-	for _, a := range singleHostRequest("web1", 0) {
-		if err := in.Push(a); err != nil {
-			t.Fatal(err)
-		}
+	if err := in.PushBatch(singleHostRequest("web1", 0)); err != nil {
+		t.Fatal(err)
 	}
-	if err := in.Push(singleHostRequest("web1", 5)[0]); err != nil {
+	if err := in.PushBatch(singleHostRequest("web1", 5)[:1]); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -197,4 +194,61 @@ func TestIngestWallClockFlush(t *testing.T) {
 		t.Fatal("wall-clock flush never released the sealed graph")
 	}
 	in.Close()
+}
+
+// TestIngestPushBatchRecordContract pins PushBatch's per-record handling
+// of one mixed-host batch in which web1's timestamp regresses: web1's
+// later records in the batch are skipped, db1's are applied, Release
+// sees every record exactly once, OnApplied sees only applied records,
+// and web1's next call gets the sticky error.
+func TestIngestPushBatchRecordContract(t *testing.T) {
+	s, err := NewSession(ingestOpts(nil), []string{"web1", "db1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type obs struct {
+		host string
+		ts   time.Duration
+	}
+	var applied []obs
+	released := make(map[*activity.Activity]int)
+	in := NewIngest(s, IngestOptions{
+		OnApplied: func(h string, ts time.Duration) { applied = append(applied, obs{h, ts}) },
+		Release:   func(a *activity.Activity) { released[a]++ },
+	})
+	defer in.Close()
+	web, db := singleHostRequest("web1", 1), singleHostRequest("db1", 10)
+	regress := singleHostRequest("web1", 0)[0]
+	skipped := singleHostRequest("web1", 2)[0]
+	batch := []*activity.Activity{web[0], web[1], db[0], regress, skipped, db[1]}
+	if err := in.PushBatch(batch); err != nil {
+		t.Fatal(err)
+	}
+	if err := in.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	want := []obs{
+		{"web1", web[0].Timestamp}, {"web1", web[1].Timestamp},
+		{"db1", db[0].Timestamp}, {"db1", db[1].Timestamp},
+	}
+	if fmt.Sprint(applied) != fmt.Sprint(want) {
+		t.Fatalf("OnApplied saw %v, want %v", applied, want)
+	}
+	if len(released) != len(batch) {
+		t.Fatalf("Release saw %d distinct records, want %d", len(released), len(batch))
+	}
+	for i, a := range batch {
+		if released[a] != 1 {
+			t.Fatalf("record %d released %d times, want 1", i, released[a])
+		}
+	}
+	if err := in.Heartbeat("web1", time.Second); err == nil {
+		t.Fatal("web1's regression did not become its sticky error")
+	}
+	if err := in.PushBatch(singleHostRequest("web1", 3)); err == nil {
+		t.Fatal("sticky error not surfaced to web1's next batch")
+	}
+	if err := in.Heartbeat("db1", time.Second); err != nil {
+		t.Fatalf("db1 caught web1's error: %v", err)
+	}
 }

@@ -150,7 +150,7 @@ func TestParallelDeterminism(t *testing.T) {
 }
 
 // TestParallelOnGraphOrder verifies the streaming contract: with
-// Workers > 1 the OnGraph callback fires from the merge stage in
+// Workers > 1 a registered sink is called from the merge stage in
 // non-decreasing END-timestamp order — the order the live monitor
 // requires — and sees every graph the accumulated result would hold.
 func TestParallelOnGraphOrder(t *testing.T) {
@@ -161,7 +161,7 @@ func TestParallelOnGraphOrder(t *testing.T) {
 		EntryPorts: []int{rubis.EntryPort},
 		IPToHost:   res.IPToHost,
 		Workers:    4,
-		OnGraph:    func(g *cag.Graph) { streamed = append(streamed, g) },
+		Sinks:      []GraphSink{GraphSinkFunc(func(g *cag.Graph) { streamed = append(streamed, g) })},
 	}).CorrelateTrace(res.Trace)
 	if err != nil {
 		t.Fatal(err)

@@ -12,7 +12,7 @@ import (
 
 // replaySession pushes a rubis trace through an online continuous
 // session in global timestamp order, calling advance every cadence
-// records, and returns the OnGraph emission sequence plus the final
+// records, and returns the sink emission sequence plus the final
 // result. The advance function is the knob under test: Drain (the full
 // barrier) versus Tick (the pipelined, non-blocking cadence).
 func replaySession(t *testing.T, res *rubis.Result, workers int, advance func(*Session), cadence int) ([]string, *Result) {
@@ -32,7 +32,7 @@ func replaySession(t *testing.T, res *rubis.Result, workers int, advance func(*S
 		IPToHost:   res.IPToHost,
 		Workers:    workers,
 		SealAfter:  40 * time.Millisecond,
-		OnGraph:    func(g *cag.Graph) { got = append(got, fingerprint(g)) },
+		Sinks:      []GraphSink{GraphSinkFunc(func(g *cag.Graph) { got = append(got, fingerprint(g)) })},
 	}, hosts)
 	if err != nil {
 		t.Fatal(err)

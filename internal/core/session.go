@@ -38,7 +38,7 @@ import (
 // Fig. 5 predicate's pending-SEND question is answered per shard, which
 // channel-closure sharding makes equal to the global answer (see
 // ranker.matchingSendVisible for the invariant), so exact-mode sessions
-// get horizons, heartbeats, forced seals and PushBatch like any other.
+// get horizons, heartbeats and forced seals like any other.
 //
 // Sessions are not safe for concurrent use: Push/Drain/CloseHost/
 // Heartbeat/Close must be called from one goroutine (the engine
@@ -93,12 +93,7 @@ type Session struct {
 
 	finished []taggedGraph // correlated, held back by the watermark
 	unsorted bool          // finished gained graphs since the last sort
-	emitted  []*cag.Graph  // released (when not streaming via OnGraph/Sinks)
-
-	// deliver is the fused emission chain (Options.OnGraph + every
-	// registered sink), nil when the session accumulates into emitted.
-	// Rebuilt by AddSink, which must run before the first Push.
-	deliver func(*cag.Graph)
+	emitted  []*cag.Graph  // released (when no sink is registered)
 
 	pushed      int
 	pendingActs int

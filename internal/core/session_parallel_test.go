@@ -108,13 +108,13 @@ func TestParallelSessionDeterminism(t *testing.T) {
 }
 
 // TestParallelSessionOnGraphOrder verifies the watermark emitter's
-// streaming contract: OnGraph fires single-goroutine in non-decreasing
+// streaming contract: a sink is called single-goroutine in non-decreasing
 // END-timestamp order and sees every graph.
 func TestParallelSessionOnGraphOrder(t *testing.T) {
 	res := rubisTrace(t, 120, 0.03, 0)
 	var streamed []*cag.Graph
 	opts := sessionOptions(res, 4, ShardByFlow)
-	opts.OnGraph = func(g *cag.Graph) { streamed = append(streamed, g) }
+	opts.Sinks = []GraphSink{GraphSinkFunc(func(g *cag.Graph) { streamed = append(streamed, g) })}
 	sess, err := NewSession(opts, hostsOf(res))
 	if err != nil {
 		t.Fatal(err)

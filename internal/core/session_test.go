@@ -259,12 +259,6 @@ func TestSessionAfterClose(t *testing.T) {
 			}
 			return nil
 		}},
-		{"PushBatch", func(sess *Session, _ int) error {
-			if sess.PushBatch([]*activity.Activity{late()}) == nil {
-				return fmt.Errorf("succeeded")
-			}
-			return nil
-		}},
 		{"Heartbeat", func(sess *Session, _ int) error {
 			if sess.Heartbeat("web2", time.Hour) == nil {
 				return fmt.Errorf("succeeded")

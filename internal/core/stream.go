@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"slices"
 	"sort"
 	"time"
 
@@ -218,7 +219,6 @@ func newSession(opts Options, hosts []string) *Session {
 	}
 	drvOpts := opts
 	drvOpts.Workers = 0
-	drvOpts.OnGraph = nil
 	drvOpts.Sinks = nil
 	// The jobs channel is deep enough that a burst of seals (one drain
 	// can retire hundreds of components) dispatches without stalling
@@ -238,7 +238,9 @@ func newSession(opts Options, hosts []string) *Session {
 		maxHorizon: opts.maxHorizon(),
 	}
 	s.colReady.L = &s.colMu
-	s.deliver = opts.emitter()
+	// The session owns its sink list: AddSink appends to it, and the
+	// caller's slice must not alias it.
+	s.opts.Sinks = slices.Clone(opts.Sinks)
 	s.inc = flow.NewIncremental(opts.ShardBy.flowMode(), s.mergeComponents)
 	if s.continuous {
 		// Continuous mode retires dispatched components; the close-driven
@@ -385,21 +387,6 @@ func (s *Session) Push(a *activity.Activity) error {
 	cp := s.copyRec(a)
 	cp.Type = s.cls.Classify(a)
 	s.ingest(cp, h)
-	return nil
-}
-
-// PushBatch feeds a run of raw records in order, as one call — the shape
-// a decoded transport frame arrives in. It is equivalent to calling Push
-// per record: application stops at the first error, which is returned,
-// and the records before it stay applied. The session copies what it
-// keeps, so the caller may recycle the batch's records afterwards
-// (activity.ReleaseRecord for pooled decode-side records).
-func (s *Session) PushBatch(batch []*activity.Activity) error {
-	for _, a := range batch {
-		if err := s.Push(a); err != nil {
-			return err
-		}
-	}
 	return nil
 }
 
@@ -914,10 +901,11 @@ func (s *Session) emit(all bool) {
 		return
 	}
 	for _, t := range s.finished[:cut] {
-		if s.deliver != nil {
-			s.deliver(t.g)
-		} else {
+		if len(s.opts.Sinks) == 0 {
 			s.emitted = append(s.emitted, t.g)
+		}
+		for _, k := range s.opts.Sinks {
+			k.ConsumeGraph(t.g)
 		}
 	}
 	s.finished = append(s.finished[:0:0], s.finished[cut:]...)
@@ -1002,16 +990,14 @@ func (s *Session) Close() *Result {
 
 // AddSink appends one sink to the session's emission chain (see
 // Options.Sinks). It must be called before the first Push: the chain is
-// rebuilt in place and is not synchronized against in-flight emission.
+// extended in place and is not synchronized against in-flight emission.
 // Registering any sink switches the session to streaming —
 // Result.Graphs stays empty.
 func (s *Session) AddSink(sink GraphSink) {
 	s.opts.Sinks = append(s.opts.Sinks, sink)
-	s.deliver = s.opts.emitter()
 }
 
-// Graphs returns the CAGs completed so far (when not streaming via
-// OnGraph or Sinks).
+// Graphs returns the CAGs completed so far (when no sink is registered).
 func (s *Session) Graphs() []*cag.Graph { return s.emitted }
 
 // Pending returns the number of activities buffered but not yet

@@ -95,18 +95,16 @@ func TestUnfinishedCountAndResidency(t *testing.T) {
 	}
 }
 
-func TestIndexSizesTrackMaps(t *testing.T) {
+func TestIndexMapsTrackPending(t *testing.T) {
 	e := New()
 	e.Handle(act(activity.Begin, 0, httpdCtx, clientCh, 200, 1))
 	e.Handle(act(activity.Send, 2, httpdCtx, webApp, 300, 1))
-	mm, cm := e.IndexSizes()
-	if mm != 1 || cm != 1 {
-		t.Fatalf("index sizes: mmap=%d cmap=%d", mm, cm)
+	if len(e.mmap) != 1 || len(e.cmap) != 1 {
+		t.Fatalf("index sizes: mmap=%d cmap=%d", len(e.mmap), len(e.cmap))
 	}
 	e.Handle(act(activity.Receive, 5, javaCtx, webApp, 300, 1))
-	mm, _ = e.IndexSizes()
-	if mm != 0 {
-		t.Fatalf("mmap after full receive = %d", mm)
+	if len(e.mmap) != 0 {
+		t.Fatalf("mmap after full receive = %d", len(e.mmap))
 	}
 }
 

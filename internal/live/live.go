@@ -341,8 +341,8 @@ func (m *Monitor) ingestSketched(g *cag.Graph, sig string) {
 // ObserveDelivery records transport-level progress for one host: the
 // ingestion tier applied a record or heartbeat with timestamp ts. Like
 // Ingest it must be called from the monitor's single feeding goroutine
-// (core.IngestOptions.OnApplied runs on the same goroutine as OnGraph,
-// so wiring both to one Monitor is safe).
+// (core.IngestOptions.OnApplied runs on the same goroutine as the
+// session's sinks, so wiring both to one Monitor is safe).
 func (m *Monitor) ObserveDelivery(host string, ts time.Duration) {
 	m.deliveredAny = true
 	sym := activity.Syms.Intern(host)

@@ -86,81 +86,6 @@ func (s *SliceSource) Pop() *activity.Activity {
 // Remaining returns the number of unconsumed activities.
 func (s *SliceSource) Remaining() int { return len(s.as) - s.pos }
 
-// PushSource is a Source fed incrementally — the online-correlation input.
-// Activities must be pushed in the node's local-clock order; Close marks
-// the stream complete.
-type PushSource struct {
-	host   string
-	buf    []*activity.Activity
-	head   int
-	closed bool
-	any    bool
-	last   time.Duration
-}
-
-// NewPushSource returns an open push source for a host.
-func NewPushSource(host string) *PushSource { return &PushSource{host: host} }
-
-// Host implements Source.
-func (s *PushSource) Host() string { return s.host }
-
-// Push appends one activity. It returns an error if the stream is closed
-// or the timestamp regresses (a node's kernel log is monotone). The
-// regression check compares against the last *pushed* timestamp even
-// after the buffer has drained: an accepted regression would break the
-// emission-order guarantee, and the sharded session enforces the same
-// per-host monotonicity, so the two modes must reject identically.
-func (s *PushSource) Push(a *activity.Activity) error {
-	if s.closed {
-		return fmt.Errorf("ranker: push on closed source %s", s.host)
-	}
-	if s.any && a.Timestamp < s.last {
-		return fmt.Errorf("ranker: %s timestamp regressed (%v after %v)", s.host, a.Timestamp, s.last)
-	}
-	s.any = true
-	s.last = a.Timestamp
-	s.buf = append(s.buf, a)
-	return nil
-}
-
-// Close marks the stream complete; Peek returns nil once drained.
-func (s *PushSource) Close() { s.closed = true }
-
-// Closed reports whether Close was called.
-func (s *PushSource) Closed() bool { return s.closed }
-
-// Peek implements Source. An open source with no buffered activity returns
-// nil, which the pull-mode Rank interprets as exhausted — online callers
-// must use TryRank, which distinguishes "empty now" from "closed".
-func (s *PushSource) Peek() *activity.Activity {
-	if s.head >= len(s.buf) {
-		return nil
-	}
-	return s.buf[s.head]
-}
-
-// Pop implements Source.
-func (s *PushSource) Pop() *activity.Activity {
-	if s.head >= len(s.buf) {
-		return nil
-	}
-	a := s.buf[s.head]
-	s.buf[s.head] = nil
-	s.head++
-	if s.head > 1024 && s.head*2 > len(s.buf) {
-		n := copy(s.buf, s.buf[s.head:])
-		for i := n; i < len(s.buf); i++ {
-			s.buf[i] = nil
-		}
-		s.buf = s.buf[:n]
-		s.head = 0
-	}
-	return a
-}
-
-// pending reports whether the source may still yield activities.
-func (s *PushSource) pending() bool { return !s.closed || s.head < len(s.buf) }
-
 // SortByTimestamp sorts a node log in place by timestamp (stable, so
 // same-timestamp records keep log order). Step 1 of the paper's algorithm
 // sorts each node's activities by local timestamps in the first round.
@@ -305,9 +230,6 @@ func (q *queue) promote(i int) {
 	copy(q.buf[q.head+1:q.head+i+1], q.buf[q.head:q.head+i])
 	q.buf[q.head] = x
 }
-
-// exhausted reports whether both the source and the buffer are empty.
-func (q *queue) exhausted() bool { return q.len() == 0 && q.src.Peek() == nil }
 
 // Ranker chooses candidate activities for the engine.
 type Ranker struct {
@@ -661,104 +583,6 @@ func (r *Ranker) extendWindow() bool {
 		}
 	}
 	return any
-}
-
-// TryRank is the online variant of Rank: it returns (nil, false) when no
-// candidate can be *safely* chosen yet because an open PushSource might
-// still deliver data that changes the decision — Rule 2 must not pick a
-// head while a live source could produce a lower-priority activity, and
-// is_noise must not fire while the sender's stream is open. Returns
-// (nil, true) when everything is drained.
-func (r *Ranker) TryRank() (a *activity.Activity, done bool) {
-	// A safe candidate requires every live source to have a buffered head;
-	// otherwise an unseen earlier-priority activity could exist.
-	for _, q := range r.queues {
-		if q.len() > 0 {
-			continue
-		}
-		if ps, ok := q.src.(*PushSource); ok && ps.pending() {
-			// Try to pull buffered pushes through the filter first.
-			if !r.fetchOne(q) && ps.pending() {
-				return nil, false
-			}
-			continue
-		}
-		r.fetchOne(q)
-	}
-	r.refill()
-
-	// Rule 1 is always safe: the SEND is already in the engine. As in
-	// Rank, HasPendingSend guards the vacuous zero-size match.
-	for _, q := range r.queues {
-		h := q.peek()
-		if h != nil && h.Type == activity.Receive &&
-			r.index.HasPendingSend(h.ChanK) && r.index.PendingBytes(h.ChanK) >= h.Size {
-			return r.take(q), false
-		}
-	}
-
-	best := -1
-	for i, q := range r.queues {
-		h := q.peek()
-		if h == nil {
-			continue
-		}
-		if best < 0 {
-			best = i
-			continue
-		}
-		b := r.queues[best].peek()
-		if h.Type.Priority() < b.Type.Priority() ||
-			(h.Type.Priority() == b.Type.Priority() && h.Timestamp < b.Timestamp) {
-			best = i
-		}
-	}
-	if best < 0 {
-		if r.anyPending() {
-			return nil, false
-		}
-		return nil, true
-	}
-	if h := r.queues[best].peek(); h.Type != activity.Receive {
-		return r.take(r.queues[best]), false
-	}
-	if r.swapBlockedHead() {
-		r.stats.Swaps++
-		return r.TryRank()
-	}
-	if r.extendWindow() {
-		r.stats.Extensions++
-		return r.TryRank()
-	}
-	// A RECEIVE may only be dropped as noise (or force-popped) when the
-	// sender can no longer produce the SEND; with open sources, wait.
-	if r.anyPending() {
-		return nil, false
-	}
-	if r.dropNoiseHead() {
-		return r.TryRank()
-	}
-	r.stats.ForcedPops++
-	return r.take(r.queues[best]), false
-}
-
-func (r *Ranker) anyPending() bool {
-	for _, q := range r.queues {
-		if ps, ok := q.src.(*PushSource); ok && !ps.Closed() {
-			return true
-		}
-	}
-	return false
-}
-
-// Exhausted reports whether all sources and buffers are drained.
-func (r *Ranker) Exhausted() bool {
-	for _, q := range r.queues {
-		if !q.exhausted() {
-			return false
-		}
-	}
-	return true
 }
 
 // String implements fmt.Stringer.

@@ -16,24 +16,20 @@ import (
 // Sink is where the collector delivers applied items — in production the
 // serialized ingest front of the correlation session (core.Ingest). Sink
 // methods are called from many connection goroutines concurrently; the
-// implementation serializes (that is its whole job). A blocking Push IS
-// the backpressure: the connection goroutine stops reading its socket,
-// TCP flow control fills the agent's send buffer, and the agent's
-// producer blocks on its bounded unacked queue.
+// implementation serializes (that is its whole job).
+//
+// PushBatch takes one decoded frame's run of records, all from one host
+// and in that host's order, as a single call, and transfers ownership of
+// the records and the slice to the sink. A blocking PushBatch IS the
+// backpressure: the connection goroutine stops reading its socket, TCP
+// flow control fills the agent's send buffer, and the agent's producer
+// blocks on its bounded unacked queue. The collector treats the hand-off
+// as all-or-nothing: an error aborts the connection, and the agent's
+// resume replays from the last acked sequence.
 type Sink interface {
-	Push(a *activity.Activity) error
+	PushBatch(recs []*activity.Activity) error
 	Heartbeat(host string, ts time.Duration) error
 	CloseHost(host string) error
-}
-
-// BatchSink is the optional Sink upgrade for whole-frame delivery: a
-// sink that can take one decoded frame's run of records in a single
-// call (core.Ingest does — one queue operation instead of one per
-// record). The collector detects it at construction and prefers it.
-// PushBatch transfers ownership of the records to the sink.
-type BatchSink interface {
-	Sink
-	PushBatch(recs []*activity.Activity) error
 }
 
 // CollectorConfig parametrises a Collector.
@@ -68,9 +64,8 @@ type HostStatus struct {
 // applied high-water mark) lives in the collector, not the connection, so
 // an agent may reconnect or restart at will.
 type Collector struct {
-	sink  Sink
-	batch BatchSink // sink's batch upgrade, nil when unsupported
-	cfg   CollectorConfig
+	sink Sink
+	cfg  CollectorConfig
 
 	mu    sync.Mutex
 	cond  *sync.Cond // signals a host's connection slot being released
@@ -111,7 +106,6 @@ func NewCollector(sink Sink, cfg CollectorConfig) (*Collector, error) {
 		done:     make(chan struct{}),
 		shutdown: make(chan struct{}),
 	}
-	c.batch, _ = sink.(BatchSink)
 	c.hosts = make(map[string]*hostState, len(cfg.Hosts))
 	c.cond = sync.NewCond(&c.mu)
 	for _, h := range cfg.Hosts {
@@ -324,7 +318,7 @@ func (c *Collector) applyBatch(hs *hostState, payload []byte) (applied int, err 
 		if len(pend) == 0 {
 			return nil
 		}
-		if err := c.push(pend); err != nil {
+		if err := c.sink.PushBatch(pend); err != nil {
 			// Ownership of the run is ambiguous after a failed hand-off;
 			// leave the records to the GC rather than risk recycling one
 			// the sink retained. This path drops the connection anyway.
@@ -390,22 +384,6 @@ func (c *Collector) applyBatch(hs *hostState, payload []byte) (applied int, err 
 		err = flush()
 	}
 	return applied, err
-}
-
-// push hands one run of records to the sink — whole when the sink
-// understands batches, record by record otherwise. The caller's mark
-// accounting assumes all-or-nothing; a partial per-record failure aborts
-// the connection, and resume replays from the last acked sequence.
-func (c *Collector) push(recs []*activity.Activity) error {
-	if c.batch != nil {
-		return c.batch.PushBatch(recs)
-	}
-	for _, a := range recs {
-		if err := c.sink.Push(a); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // refuse sends a terminal error frame and lets the deferred close drop

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -92,14 +93,19 @@ func genTrace(nHosts, requests int) *trace {
 	return tr
 }
 
+// opts registers onGraph as the only sink; nil registers none
+// (core.GraphSinkFunc(nil) would be a sink that panics on the first graph).
 func (tr *trace) opts(onGraph func(*cag.Graph)) core.Options {
-	return core.Options{
+	opts := core.Options{
 		Window:     10 * time.Millisecond,
 		EntryPorts: []int{80},
 		IPToHost:   tr.ipToHost,
 		Workers:    2,
-		OnGraph:    onGraph,
 	}
+	if onGraph != nil {
+		opts.Sinks = []core.GraphSink{core.GraphSinkFunc(onGraph)}
+	}
+	return opts
 }
 
 // offlineFingerprints is the gold run: the same session fed in-process.
@@ -124,8 +130,31 @@ func offlineFingerprints(t *testing.T, tr *trace) []string {
 	return fps
 }
 
+// quietLogf is t.Logf for collector and agent goroutines, silenced once
+// the test's cleanup starts. Those goroutines can outlive the test body —
+// the collector closes Done before its handler logs the final clean
+// close — and testing panics on a Log after the test has completed.
+// Cleanup runs before testing marks the test done, and the lock keeps
+// any in-flight line ahead of it.
+func quietLogf(t *testing.T) func(format string, args ...any) {
+	var mu sync.Mutex
+	quiet := false
+	t.Cleanup(func() {
+		mu.Lock()
+		quiet = true
+		mu.Unlock()
+	})
+	return func(format string, args ...any) {
+		mu.Lock()
+		defer mu.Unlock()
+		if !quiet {
+			t.Logf(format, args...)
+		}
+	}
+}
+
 // startCollector wires listener → collector → serialized ingest → session
-// and returns the pieces plus the OnGraph fingerprint sink.
+// and returns the pieces.
 func startCollector(t *testing.T, tr *trace, opts core.Options, iopts core.IngestOptions) (*transport.Collector, *core.Ingest, net.Listener) {
 	t.Helper()
 	s, err := core.NewSession(opts, tr.hosts)
@@ -133,7 +162,7 @@ func startCollector(t *testing.T, tr *trace, opts core.Options, iopts core.Inges
 		t.Fatal(err)
 	}
 	in := core.NewIngest(s, iopts)
-	col, err := transport.NewCollector(in, transport.CollectorConfig{Hosts: tr.hosts, Logf: t.Logf})
+	col, err := transport.NewCollector(in, transport.CollectorConfig{Hosts: tr.hosts, Logf: quietLogf(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +179,7 @@ func agentConfig(addr, host string, t *testing.T) transport.AgentConfig {
 		Addr: addr, Host: host,
 		BatchSize: 64, FlushInterval: 5 * time.Millisecond,
 		MaxUnacked: 128, RetryInterval: 10 * time.Millisecond,
-		Logf: t.Logf,
+		Logf: quietLogf(t),
 	}
 }
 
@@ -194,7 +223,7 @@ func feedAndClose(t *testing.T, addr, host string, recs []*activity.Activity, mi
 // TestNetworkedEquivalence is the tentpole's acceptance: a collector fed
 // by 9 concurrent loopback agents — one bounced (reconnect + resume), one
 // killed and replaced by a restarted agent re-offering its whole log —
-// drains an OnGraph stream byte-identical to the offline in-process
+// drains a sink stream byte-identical to the offline in-process
 // replay of the same records.
 func TestNetworkedEquivalence(t *testing.T) {
 	tr := genTrace(9, 240)

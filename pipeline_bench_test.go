@@ -122,7 +122,7 @@ func sessionReplay(tb testing.TB, res *rubis.Result, workers int, sealAfter time
 		IPToHost:   res.IPToHost,
 		Workers:    workers,
 		SealAfter:  sealAfter,
-		OnGraph:    func(*cag.Graph) {},
+		Sinks:      []core.GraphSink{core.GraphSinkFunc(func(*cag.Graph) {})},
 	}, hosts)
 	if err != nil {
 		tb.Fatal(err)
