@@ -19,9 +19,9 @@ GO ?= go
 # sketches and export sinks live in.
 COVER_MIN ?= 85
 
-.PHONY: ci vet lint build test race cover bench bench-allocs bench-promote bench-scaling soak soak-short perfbench
+.PHONY: ci vet lint build test race cover bench bench-allocs bench-promote bench-scaling soak soak-short perfbench fuzz-short
 
-ci: vet lint build test race cover bench bench-allocs soak-short perfbench
+ci: vet lint build test race cover bench bench-allocs soak-short perfbench fuzz-short
 
 vet:
 	$(GO) vet ./...
@@ -131,3 +131,11 @@ soak-short:
 		-soak.agents=12 -soak.requests=2000
 	$(GO) test ./internal/live -count=1 -run TestMonitorSketchedCapacity \
 		-live.soakscale=25
+
+# A short fuzz pass over the wire decoders (text and binary), 5 s per
+# target. `go test -fuzz` takes one target per run, so loop.
+fuzz-short:
+	@for t in FuzzParseRecord FuzzParseRecordInto FuzzParseTimestamp FuzzBinaryDecode FuzzBinaryRoundTrip; do \
+		echo "fuzz-short: $$t (5s)"; \
+		$(GO) test ./internal/activity -run '^$$' -fuzz "^$$t\$$" -fuzztime 5s || exit 1; \
+	done

@@ -24,7 +24,9 @@
 //	internal/cag         the CAG abstraction, patterns, aggregation,
 //	                     latency breakdown (§3.2)
 //	internal/activity    activity model and TCP_TRACE wire formats (§3.1):
-//	                     the text log format and the compact binary codec
+//	                     the text log format and the compact binary codec,
+//	                     each with one allocation-free decode boundary
+//	                     (ParseRecordInto, DecodeBinaryInto)
 //	internal/transport   agent→collector network ingestion tier: framed
 //	                     binary batches, per-agent sequence/ack resume,
 //	                     TCP backpressure (§3.1 deployment)
@@ -214,14 +216,15 @@
 // program, the two endpoint IPs — exist for the render and report edges,
 // and for nothing else. The hot path runs on dense symbols: both codecs
 // (the text parser and the binary decoder) bind each record against the
-// process-wide interner (activity.Syms) at the decode boundary, filling
-// its packed key forms activity.CtxKey and activity.ChanKey. Everything
-// between decode and CAG emission — the flow partition's union-find, the
-// engine's message map, the session's per-host state, the live monitor's
-// lag tables — keys on those flat integer structs; hashing one is a
-// memhash over a few words, and the interner canonicalizes the strings
-// so a million records share one copy of "web1" instead of pinning a
-// million log-line buffers.
+// process-wide interner (activity.Syms) at the decode boundary, once the
+// whole record has validated, filling its packed key forms
+// activity.CtxKey and activity.ChanKey. Everything between decode and
+// CAG emission — the flow partition's union-find, the engine's message
+// map, the session's per-host state, the live monitor's lag tables —
+// keys on those flat integer structs; hashing one is a memhash over a
+// few words, and the interner canonicalizes the strings so a million
+// records share one copy of "web1" instead of pinning a million log-line
+// buffers.
 //
 // Only the bounded identity vocabulary is interned, never the unbounded
 // tuples: ephemeral ports make the channel space grow with connection

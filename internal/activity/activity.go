@@ -49,18 +49,25 @@ func (t Type) String() string {
 
 // ParseType converts the wire spelling back into a Type.
 func ParseType(s string) (Type, error) {
+	if t := typeNamed(s); t != 0 {
+		return t, nil
+	}
+	return 0, fmt.Errorf("unknown activity type %q", s)
+}
+
+// typeNamed returns the Type spelled s, or 0 for an unknown spelling.
+func typeNamed(s string) Type {
 	switch s {
 	case "BEGIN":
-		return Begin, nil
+		return Begin
 	case "SEND":
-		return Send, nil
+		return Send
 	case "END":
-		return End, nil
+		return End
 	case "RECEIVE":
-		return Receive, nil
-	default:
-		return 0, fmt.Errorf("unknown activity type %q", s)
+		return Receive
 	}
+	return 0
 }
 
 // Context is the execution-entity identifier tuple

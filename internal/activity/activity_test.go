@@ -78,6 +78,23 @@ func TestParseTimestamp(t *testing.T) {
 	if _, err := ParseTimestamp("abc"); err == nil {
 		t.Fatal("ParseTimestamp should reject garbage")
 	}
+	// The largest µs-precision Duration still parses, to the nanosecond.
+	if got, err := ParseTimestamp("9223372036.854775"); err != nil || got != 9223372036854775000 {
+		t.Fatalf("ParseTimestamp(9223372036.854775) = %d, %v", got, err)
+	}
+	for _, c := range []struct{ in, err string }{
+		// A second sign after the leading '-' once decoded "--1.5" as +0.5 s.
+		{"--1.5", `timestamp "--1.5": sign after leading '-'`},
+		{"-+1.5", `timestamp "-+1.5": sign after leading '-'`},
+		// Seconds whose Duration overflows once wrapped to -292 years.
+		{"9223372037.000000", `timestamp "9223372037.000000": out of range`},
+		{"9223372036.854776", `timestamp "9223372036.854776": out of range`},
+		{"-9223372037", `timestamp "-9223372037": out of range`},
+	} {
+		if d, err := ParseTimestamp(c.in); err == nil || err.Error() != c.err {
+			t.Errorf("ParseTimestamp(%q) = %v, %v; want error %s", c.in, d, err, c.err)
+		}
+	}
 }
 
 func TestRecordRoundTripWithTruth(t *testing.T) {
@@ -123,11 +140,15 @@ func TestParseRecordPaperExample(t *testing.T) {
 func TestParseRecordErrors(t *testing.T) {
 	bad := []string{
 		"",
-		"12.0 node1 httpd 1 1 SEND 10.0.0.1:1-10.0.0.2:2",          // missing size
-		"12.0 node1 httpd x 1 SEND 10.0.0.1:1-10.0.0.2:2 10",       // bad pid
-		"12.0 node1 httpd 1 1 NOPE 10.0.0.1:1-10.0.0.2:2 10",       // bad type
-		"12.0 node1 httpd 1 1 SEND 10.0.0.1:1_10.0.0.2:2 10",       // bad channel
-		"12.0 node1 httpd 1 1 SEND 10.0.0.1:1-10.0.0.2:2 10 extra", // extra field
+		"12.0 node1 httpd 1 1 SEND 10.0.0.1:1-10.0.0.2:2",                 // missing size
+		"12.0 node1 httpd x 1 SEND 10.0.0.1:1-10.0.0.2:2 10",              // bad pid
+		"12.0 node1 httpd 1 1 NOPE 10.0.0.1:1-10.0.0.2:2 10",              // bad type
+		"12.0 node1 httpd 1 1 SEND 10.0.0.1:1_10.0.0.2:2 10",              // bad channel
+		"12.0 node1 httpd 1 1 SEND 10.0.0.1:1-10.0.0.2:2 10 extra",        // extra field
+		"--1.5 node1 httpd 1 1 SEND 10.0.0.1:1-10.0.0.2:2 10",             // second sign
+		"9223372037.000000 node1 httpd 1 1 SEND 10.0.0.1:1-10.0.0.2:2 10", // Duration overflow
+		"12.0 node1 httpd 99999999999 1 SEND 10.0.0.1:1-10.0.0.2:2 10",    // pid beyond int32
+		"12.0 node1 httpd 1 1 SEND 10.0.0.1:1-10.0.0.2:2 10 # req=1 bad",  // truth without '='
 	}
 	for _, line := range bad {
 		if _, err := ParseRecord(line); err == nil {

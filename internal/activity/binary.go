@@ -26,10 +26,10 @@ import (
 //	                  so byte-identical replay needs it on the wire)
 //	req, msg          varint  (ground truth; -1 when absent)
 //
-// The codec is structural, not semantic: like ParseRecord it validates
-// shape (type tag, string bounds, port range) and trusts content. Decode
-// never reads past the given buffer and never panics on malformed input
-// (FuzzBinaryDecode).
+// The codec is structural, not semantic: like ParseRecordInto it
+// validates shape (type tag, string bounds, pid/tid within int32, port
+// range) and trusts content. Decode never reads past the given buffer
+// and never panics on malformed input (FuzzBinaryDecode).
 
 // maxBinaryString caps decoded string lengths — far above any real
 // hostname/program/address, far below anything that could OOM a decoder
@@ -86,13 +86,13 @@ func DecodeBinaryInto(a *Activity, buf []byte) (int, error) {
 	}
 	a.Type = Type(t)
 	a.Timestamp = time.Duration(d.varint())
-	a.Ctx.Host, a.CtxK.Host = d.symString()
-	a.Ctx.Program, a.CtxK.Prog = d.symString()
-	a.Ctx.PID = int(d.varint())
-	a.Ctx.TID = int(d.varint())
-	a.Chan.Src.IP, a.ChanK.SrcIP = d.symString()
+	host := d.bytes()
+	prog := d.bytes()
+	a.Ctx.PID = d.int32("pid")
+	a.Ctx.TID = d.int32("tid")
+	srcIP := d.bytes()
 	a.Chan.Src.Port = int(d.port())
-	a.Chan.Dst.IP, a.ChanK.DstIP = d.symString()
+	dstIP := d.bytes()
 	a.Chan.Dst.Port = int(d.port())
 	a.Size = d.varint()
 	a.ID = d.varint()
@@ -102,10 +102,9 @@ func DecodeBinaryInto(a *Activity, buf []byte) (int, error) {
 		*a = Activity{}
 		return 0, d.err
 	}
-	a.CtxK.PID = int32(a.Ctx.PID)
-	a.CtxK.TID = int32(a.Ctx.TID)
-	a.ChanK.SrcPort = int32(a.Chan.Src.Port)
-	a.ChanK.DstPort = int32(a.Chan.Dst.Port)
+	// Bind only a whole, valid record: a malformed frame never grows the
+	// interner.
+	Syms.bindBytes(a, host, prog, srcIP, dstIP)
 	return d.off, nil
 }
 
@@ -154,6 +153,17 @@ func (d *binDecoder) varint() int64 {
 	return v
 }
 
+// int32 reads a varint that must fit in an int32: CtxKey packs pid and
+// tid that wide, and a wider value would alias another context's key.
+func (d *binDecoder) int32(what string) int {
+	v := d.varint()
+	if d.err == nil && v != int64(int32(v)) {
+		d.fail(what)
+		return 0
+	}
+	return int(v)
+}
+
 func (d *binDecoder) uvarint() uint64 {
 	if d.err != nil {
 		return 0
@@ -176,20 +186,18 @@ func (d *binDecoder) port() uint64 {
 	return v
 }
 
-// symString reads a string and interns it in one step: on the hit path
-// the raw bytes index the interner's map directly, so no copy of the
-// string is allocated.
-func (d *binDecoder) symString() (string, Sym) {
+// bytes reads a length-prefixed string as a view into the buffer; the
+// caller interns it (bindBytes), so no copy is allocated.
+func (d *binDecoder) bytes() []byte {
 	n := d.uvarint()
 	if d.err != nil {
-		return "", 0
+		return nil
 	}
 	if n > maxBinaryString || int(n) > len(d.buf)-d.off {
 		d.fail("string")
-		return "", 0
+		return nil
 	}
 	b := d.buf[d.off : d.off+int(n)]
 	d.off += int(n)
-	sym, s := Syms.internBytes(b)
-	return s, sym
+	return b
 }

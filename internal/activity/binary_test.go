@@ -107,6 +107,9 @@ func FuzzBinaryRoundTrip(f *testing.F) {
 			len(srcIP) > maxBinaryString || len(dstIP) > maxBinaryString {
 			return
 		}
+		if pid != int(int32(pid)) || tid != int(int32(tid)) {
+			return // rejected by design: see TestBinaryDecodePIDRange
+		}
 		a := &Activity{
 			ID: id, Type: Type(typ), Timestamp: time.Duration(ts),
 			Ctx: Context{Host: host, Program: prog, PID: pid, TID: tid},
@@ -145,6 +148,9 @@ func FuzzBinaryDecode(f *testing.F) {
 		if n <= 0 || n > len(buf) {
 			t.Fatalf("consumed %d of %d bytes", n, len(buf))
 		}
+		if int(a.CtxK.PID) != a.Ctx.PID || int(a.CtxK.TID) != a.Ctx.TID {
+			t.Fatalf("context key truncated pid/tid: Ctx %+v, CtxK %+v", a.Ctx, a.CtxK)
+		}
 		back, _, err := DecodeBinary(AppendBinary(nil, a))
 		if err != nil {
 			t.Fatalf("re-decode of accepted record failed: %v", err)
@@ -153,4 +159,28 @@ func FuzzBinaryDecode(f *testing.F) {
 			t.Fatalf("accepted record not a fixed point:\n in: %+v\nout: %+v", a, back)
 		}
 	})
+}
+
+// TestBinaryDecodePIDRange: CtxKey packs pid and tid as int32, so a wider
+// value on the wire must be rejected — decoded, it would share a context
+// key with the pid it truncates to while its Ctx differs.
+func TestBinaryDecodePIDRange(t *testing.T) {
+	for _, c := range []struct{ pid, tid int }{
+		{99999999999, 1}, {1, 99999999999}, {1 << 31, 1}, {1, -1<<31 - 1},
+	} {
+		a := binSample()
+		a.Ctx.PID, a.Ctx.TID = c.pid, c.tid
+		if got, _, err := DecodeBinary(AppendBinary(nil, a)); err == nil {
+			t.Errorf("pid %d tid %d decoded as %+v, want error", c.pid, c.tid, got.CtxK)
+		}
+	}
+	a := binSample()
+	a.Ctx.PID, a.Ctx.TID = 1<<31-1, -1<<31
+	got, _, err := DecodeBinary(AppendBinary(nil, a))
+	if err != nil {
+		t.Fatalf("int32 extremes rejected: %v", err)
+	}
+	if got.Ctx.PID != 1<<31-1 || got.CtxK.TID != -1<<31 {
+		t.Fatalf("int32 extremes mangled: %+v %+v", got.Ctx, got.CtxK)
+	}
 }

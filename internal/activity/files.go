@@ -1,7 +1,6 @@
 package activity
 
 import (
-	"bufio"
 	"compress/gzip"
 	"fmt"
 	"io"
@@ -113,21 +112,12 @@ func ReadHostLogs(dir string) (map[string][]*Activity, error) {
 }
 
 func readLog(path string, idBase int64) ([]*Activity, int64, error) {
-	f, err := os.Open(path)
+	r, err := OpenLog(path)
 	if err != nil {
 		return nil, idBase, err
 	}
-	defer f.Close()
-	var src io.Reader = f
-	if strings.HasSuffix(path, ".gz") {
-		zr, err := gzip.NewReader(f)
-		if err != nil {
-			return nil, idBase, err
-		}
-		defer zr.Close()
-		src = zr
-	}
-	as, err := ReadAll(src)
+	defer r.Close()
+	as, err := ReadAll(r)
 	if err != nil {
 		return nil, idBase, err
 	}
@@ -136,6 +126,38 @@ func readLog(path string, idBase int64) ([]*Activity, int64, error) {
 		idBase++
 	}
 	return as, idBase, nil
+}
+
+// OpenLog opens one host log for reading, decompressing it when the name
+// ends in .gz. Closing the returned reader closes the file too.
+func OpenLog(path string) (io.ReadCloser, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	if !strings.HasSuffix(path, ".gz") {
+		return f, nil
+	}
+	zr, err := gzip.NewReader(f)
+	if err != nil {
+		f.Close()
+		return nil, err
+	}
+	return gzipFile{zr, f}, nil
+}
+
+// gzipFile is a gzip stream over an open file; Close closes both.
+type gzipFile struct {
+	*gzip.Reader
+	f *os.File
+}
+
+func (g gzipFile) Close() error {
+	zerr := g.Reader.Close()
+	if ferr := g.f.Close(); zerr == nil {
+		zerr = ferr
+	}
+	return zerr
 }
 
 // Merge flattens per-host logs into one slice (host-sorted order).
@@ -158,35 +180,21 @@ func Merge(perHost map[string][]*Activity) []*Activity {
 // disk without materialising the trace in memory. It satisfies the ranker's
 // Source interface structurally (Host/Peek/Pop).
 type FileSource struct {
-	host    string
-	sc      *bufio.Scanner
-	closers []io.Closer
-	next    *Activity
-	err     error
-	idNext  *int64
+	host   string
+	r      io.ReadCloser
+	lines  *LineReader
+	next   *Activity
+	idNext *int64
 }
 
 // OpenFileSource opens a host log (plain or gzip). ids, when non-nil, is a
 // shared counter used to assign unique record IDs across sources.
 func OpenFileSource(host, path string, ids *int64) (*FileSource, error) {
-	f, err := os.Open(path)
+	r, err := OpenLog(path)
 	if err != nil {
 		return nil, err
 	}
-	var src io.Reader = f
-	closers := []io.Closer{f}
-	if strings.HasSuffix(path, ".gz") {
-		zr, err := gzip.NewReader(f)
-		if err != nil {
-			f.Close()
-			return nil, err
-		}
-		src = zr
-		closers = append(closers, zr)
-	}
-	sc := bufio.NewScanner(src)
-	sc.Buffer(make([]byte, 1<<16), 1<<20)
-	s := &FileSource{host: host, sc: sc, closers: closers, idNext: ids}
+	s := &FileSource{host: host, r: r, lines: NewLineReader(r), idNext: ids}
 	s.advance()
 	return s, nil
 }
@@ -206,43 +214,33 @@ func (s *FileSource) Pop() *Activity {
 	return a
 }
 
-// Err returns the first parse or I/O error encountered.
-func (s *FileSource) Err() error { return s.err }
+// Err returns the first parse or I/O error encountered; a parse error
+// names its line.
+func (s *FileSource) Err() error { return s.lines.Err() }
 
 // Close releases the underlying files.
 func (s *FileSource) Close() error {
-	var first error
-	for i := len(s.closers) - 1; i >= 0; i-- {
-		if err := s.closers[i].Close(); err != nil && first == nil {
-			first = err
-		}
+	if s.r == nil {
+		return nil
 	}
-	s.closers = nil
-	return first
+	err := s.r.Close()
+	s.r = nil
+	return err
 }
 
+// advance decodes the next record into a fresh one: Pop hands records
+// over to the consumer, which keeps them.
 func (s *FileSource) advance() {
-	s.next = nil
-	for s.sc.Scan() {
-		line := strings.TrimSpace(s.sc.Text())
-		if line == "" || strings.HasPrefix(line, "//") {
-			continue
-		}
-		a, err := ParseRecord(line)
-		if err != nil {
-			s.err = err
-			return
-		}
-		if s.idNext != nil {
-			a.ID = *s.idNext
-			*s.idNext++
-		}
-		s.next = a
+	a := new(Activity)
+	if !s.lines.Next(a) {
+		s.next = nil
 		return
 	}
-	if err := s.sc.Err(); err != nil {
-		s.err = err
+	if s.idNext != nil {
+		a.ID = *s.idNext
+		*s.idNext++
 	}
+	s.next = a
 }
 
 // openAppend opens a file for appending (test helper exported within the

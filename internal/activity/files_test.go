@@ -150,7 +150,9 @@ func TestFileSourceParseError(t *testing.T) {
 	defer src.Close()
 	for src.Pop() != nil {
 	}
-	if src.Err() == nil {
-		t.Fatal("expected parse error to surface via Err")
+	// app1's log holds three records, so the corrupt line is line 4.
+	want := `line 4: record has 3 fields, want 8: "not a record"`
+	if err := src.Err(); err == nil || err.Error() != want {
+		t.Fatalf("Err() = %v, want %s", err, want)
 	}
 }

@@ -7,14 +7,21 @@ package activity
 func InferIPToHost(trace []*Activity) map[string]string {
 	m := make(map[string]string)
 	for _, a := range trace {
-		switch a.Type {
-		case Send, End:
-			m[a.Chan.Src.IP] = a.Ctx.Host
-		case Receive, Begin:
-			m[a.Chan.Dst.IP] = a.Ctx.Host
-		case MaxType:
-			// Sentinel; ignore.
-		}
+		NoteIPToHost(m, a)
 	}
 	return m
+}
+
+// NoteIPToHost learns one record's address into m, the rule
+// InferIPToHost applies: SEND/END name the logging host's source address,
+// RECEIVE/BEGIN its destination address. Later records win.
+func NoteIPToHost(m map[string]string, a *Activity) {
+	switch a.Type {
+	case Send, End:
+		m[a.Chan.Src.IP] = a.Ctx.Host
+	case Receive, Begin:
+		m[a.Chan.Dst.IP] = a.Ctx.Host
+	case MaxType:
+		// Sentinel; ignore.
+	}
 }

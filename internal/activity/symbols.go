@@ -77,9 +77,8 @@ func (s *Symbols) intern(str string) (Sym, string) {
 	return sym, str
 }
 
-// internBytes is the decoder fast path: on a hit it performs no
-// allocation at all (the map index converts without copying), returning
-// the canonical string for the bytes.
+// internBytes interns a string given as bytes; on a hit it performs no
+// allocation at all (the map index converts without copying).
 func (s *Symbols) internBytes(b []byte) (Sym, string) {
 	s.mu.RLock()
 	sym, ok := s.ids[string(b)]
@@ -90,6 +89,17 @@ func (s *Symbols) internBytes(b []byte) (Sym, string) {
 	}
 	s.mu.RUnlock()
 	return s.intern(string(b))
+}
+
+// bindBytes is the decoders' Bind: it fills a's identity strings and
+// dense keys from the raw bytes of its four identity fields (a's pid,
+// tid and ports already set). On a warm interner it allocates nothing.
+func (s *Symbols) bindBytes(a *Activity, host, prog, srcIP, dstIP []byte) {
+	a.CtxK.Host, a.Ctx.Host = s.internBytes(host)
+	a.CtxK.Prog, a.Ctx.Program = s.internBytes(prog)
+	a.ChanK.SrcIP, a.Chan.Src.IP = s.internBytes(srcIP)
+	a.ChanK.DstIP, a.Chan.Dst.IP = s.internBytes(dstIP)
+	packInts(a)
 }
 
 // Name returns the string a symbol was allocated for, or "" for the
@@ -163,14 +173,19 @@ func Bind(a *Activity) {
 	a.Ctx.Host = c
 	a.CtxK.Prog, c = Syms.intern(a.Ctx.Program)
 	a.Ctx.Program = c
-	a.CtxK.PID = int32(a.Ctx.PID)
-	a.CtxK.TID = int32(a.Ctx.TID)
 	a.ChanK.SrcIP, c = Syms.intern(a.Chan.Src.IP)
 	a.Chan.Src.IP = c
 	a.ChanK.DstIP, c = Syms.intern(a.Chan.Dst.IP)
 	a.Chan.Dst.IP = c
-	a.ChanK.SrcPort = int32(a.Chan.Src.Port)
-	a.ChanK.DstPort = int32(a.Chan.Dst.Port)
+	packInts(a)
+}
+
+// packInts copies a's pid, tid and ports into its dense keys. The
+// decoders reject a pid or tid outside int32; a hand-built record's is
+// truncated.
+func packInts(a *Activity) {
+	a.CtxK.PID, a.CtxK.TID = int32(a.Ctx.PID), int32(a.Ctx.TID)
+	a.ChanK.SrcPort, a.ChanK.DstPort = int32(a.Chan.Src.Port), int32(a.Chan.Dst.Port)
 }
 
 // recPool recycles decode-side Activity records: the network collector

@@ -2,11 +2,16 @@ package activity
 
 import (
 	"bufio"
+	"bytes"
+	"errors"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 	"time"
+	"unicode"
+	"unicode/utf8"
 )
 
 // The TCP_TRACE wire format, §3.1 of the paper:
@@ -32,43 +37,114 @@ func FormatTimestamp(ts time.Duration) string {
 
 // ParseTimestamp parses seconds.microseconds into a duration.
 func ParseTimestamp(s string) (time.Duration, error) {
-	neg := false
-	if strings.HasPrefix(s, "-") {
-		neg = true
-		s = s[1:]
+	return parseTimestamp([]byte(s))
+}
+
+// parseTimestamp is ParseTimestamp over bytes: the seconds and up to six
+// fraction digits (more are checked, then truncated) accumulate in digit
+// loops, no padding or copying. A sign after the leading '-' and a value
+// that overflows time.Duration are rejected, so every accepted timestamp
+// round-trips exactly through FormatTimestamp.
+func parseTimestamp(b []byte) (time.Duration, error) {
+	neg := len(b) > 0 && b[0] == '-'
+	s := b
+	if neg {
+		s = b[1:]
 	}
-	sec, frac, ok := strings.Cut(s, ".")
-	if !ok {
-		frac = "0"
-	} else if frac == "" {
-		return 0, fmt.Errorf("timestamp %q: empty fraction", s)
-	}
-	// The fraction must be bare digits: ParseInt alone would accept a sign
-	// ("1.-5" parsing as negative microseconds) and padding would mangle it.
-	for i := 0; i < len(frac); i++ {
-		if frac[i] < '0' || frac[i] > '9' {
-			return 0, fmt.Errorf("timestamp %q: non-digit fraction byte %q", s, frac[i])
+	sec, frac := s, []byte(nil)
+	if i := bytes.IndexByte(s, '.'); i >= 0 {
+		sec, frac = s[:i], s[i+1:]
+		if len(frac) == 0 {
+			return 0, fmt.Errorf("timestamp %q: empty fraction", s)
 		}
 	}
-	secs, err := strconv.ParseInt(sec, 10, 64)
+	// The fraction must be bare digits: a sign ("1.-5" as negative
+	// microseconds) or any other byte is an error.
+	var micros int64
+	for i, c := range frac {
+		if c < '0' || c > '9' {
+			return 0, fmt.Errorf("timestamp %q: non-digit fraction byte %q", s, c)
+		}
+		if i < 6 {
+			micros = micros*10 + int64(c-'0')
+		}
+	}
+	for i := len(frac); i < 6; i++ {
+		micros *= 10
+	}
+	if neg && len(sec) > 0 && (sec[0] == '-' || sec[0] == '+') {
+		return 0, fmt.Errorf("timestamp %q: sign after leading '-'", b)
+	}
+	secs, err := parseInt64(sec)
 	if err != nil {
 		return 0, fmt.Errorf("timestamp %q: %w", s, err)
 	}
-	for len(frac) < 6 {
-		frac += "0"
-	}
-	if len(frac) > 6 {
-		frac = frac[:6]
-	}
-	micros, err := strconv.ParseInt(frac, 10, 64)
-	if err != nil {
-		return 0, fmt.Errorf("timestamp %q: %w", s, err)
+	// secs >= 0 here: a '-' is only ever the leading one.
+	if secs > (math.MaxInt64-micros*int64(time.Microsecond))/int64(time.Second) {
+		return 0, fmt.Errorf("timestamp %q: out of range", b)
 	}
 	d := time.Duration(secs)*time.Second + time.Duration(micros)*time.Microsecond
 	if neg {
 		d = -d
 	}
 	return d, nil
+}
+
+// parseInt is strconv.ParseInt(string(b), 10, 64) without the string: it
+// accepts exactly what ParseInt accepts (an optional sign, then at least
+// one decimal digit, within int64) and reports false wherever ParseInt
+// would error. Callers that need the error text ask strconv for it on
+// that cold path.
+func parseInt(b []byte) (int64, bool) {
+	neg := false
+	if len(b) > 0 && (b[0] == '+' || b[0] == '-') {
+		neg = b[0] == '-'
+		b = b[1:]
+	}
+	if len(b) == 0 {
+		return 0, false
+	}
+	var n uint64
+	for _, c := range b {
+		d := uint64(c - '0')
+		// Past this bound n*10+d could wrap uint64, and the value is far
+		// outside int64 anyway.
+		if d > 9 || n > (math.MaxUint64-9)/10 {
+			return 0, false
+		}
+		n = n*10 + d
+	}
+	if neg {
+		return -int64(n), n <= 1<<63
+	}
+	return int64(n), n <= math.MaxInt64
+}
+
+// atoi parses a pid, tid or port field; its error is strconv.Atoi's.
+func atoi(b []byte) (int, error) {
+	if n, ok := parseInt(b); ok {
+		return int(n), nil
+	}
+	return strconv.Atoi(string(b))
+}
+
+// atoi32 is atoi for the fields CtxKey packs as int32 (pid, tid): a
+// wider value would alias another context's key, so it is rejected.
+func atoi32(b []byte) (int, error) {
+	n, err := atoi(b)
+	if err == nil && n != int(int32(n)) {
+		err = errors.New("out of int32 range")
+	}
+	return n, err
+}
+
+// parseInt64 parses a timestamp's seconds, a size or a truth value; its
+// error is strconv.ParseInt's.
+func parseInt64(b []byte) (int64, error) {
+	if n, ok := parseInt(b); ok {
+		return n, nil
+	}
+	return strconv.ParseInt(string(b), 10, 64)
 }
 
 // FormatRecord renders an activity as one TCP_TRACE log line. If withTruth
@@ -106,122 +182,193 @@ func FormatRecord(a *Activity, withTruth bool) string {
 	return b.String()
 }
 
-// ParseRecord parses one TCP_TRACE log line. The original TCP_TRACE format
-// only carries SEND/RECEIVE; BEGIN/END appear after classification, and
-// round-tripped traces may contain them too, so all four types parse.
+// ParseRecord parses one TCP_TRACE log line into a new record (see
+// ParseRecordInto).
 func ParseRecord(line string) (*Activity, error) {
-	truth := ""
-	if i := strings.IndexByte(line, '#'); i >= 0 {
-		truth = strings.TrimSpace(line[i+1:])
-		line = line[:i]
-	}
-	fields := strings.Fields(line)
-	if len(fields) != 8 {
-		return nil, fmt.Errorf("record has %d fields, want 8: %q", len(fields), line)
-	}
-	ts, err := ParseTimestamp(fields[0])
-	if err != nil {
+	a := new(Activity)
+	if err := ParseRecordInto(a, []byte(line)); err != nil {
 		return nil, err
 	}
-	pid, err := strconv.Atoi(fields[3])
-	if err != nil {
-		return nil, fmt.Errorf("pid %q: %w", fields[3], err)
-	}
-	tid, err := strconv.Atoi(fields[4])
-	if err != nil {
-		return nil, fmt.Errorf("tid %q: %w", fields[4], err)
-	}
-	typ, err := ParseType(fields[5])
-	if err != nil {
-		return nil, err
-	}
-	ch, err := parseChannel(fields[6])
-	if err != nil {
-		return nil, err
-	}
-	size, err := strconv.ParseInt(fields[7], 10, 64)
-	if err != nil {
-		return nil, fmt.Errorf("size %q: %w", fields[7], err)
-	}
-	a := &Activity{
-		Type:      typ,
-		Timestamp: ts,
-		Ctx:       Context{Host: fields[1], Program: fields[2], PID: pid, TID: tid},
-		Chan:      ch,
-		Size:      size,
-		ReqID:     -1,
-		MsgID:     -1,
-	}
-	if truth != "" {
-		if err := parseTruth(truth, a); err != nil {
-			return nil, err
-		}
-	}
-	// Decode boundary: intern the identity strings (canonical copies stop
-	// the record from pinning the parsed line) and fill the dense keys.
-	Bind(a)
 	return a, nil
 }
 
-func parseChannel(s string) (Channel, error) {
-	src, dst, ok := strings.Cut(s, "-")
-	if !ok {
-		return Channel{}, fmt.Errorf("channel %q: missing '-'", s)
+// ParseRecordInto decodes one TCP_TRACE log line into *a, overwriting
+// every field (ID is zero; ReqID and MsgID are -1 without a ground-truth
+// annotation). The original TCP_TRACE format only carries SEND/RECEIVE;
+// BEGIN/END appear after classification, and round-tripped traces may
+// contain them too, so all four types parse.
+//
+// It is the text codec's allocation-free decode boundary, the sibling of
+// DecodeBinaryInto: fields are split and numbers parsed in place over the
+// line's bytes, and the identity strings bind through the process-wide
+// interner, so once the vocabulary is warm a reused record decodes with
+// no allocation. line is not retained. On error *a is zeroed.
+func ParseRecordInto(a *Activity, line []byte) error {
+	*a = Activity{}
+	if err := parseRecord(a, line); err != nil {
+		*a = Activity{}
+		return err
 	}
-	se, err := parseEndpoint(src)
-	if err != nil {
-		return Channel{}, err
-	}
-	de, err := parseEndpoint(dst)
-	if err != nil {
-		return Channel{}, err
-	}
-	return Channel{Src: se, Dst: de}, nil
+	return nil
 }
 
-func parseEndpoint(s string) (Endpoint, error) {
-	// Split on the LAST colon: IPv6 addresses ("2001:db8::1") contain
-	// colons themselves, so a first-colon split can never parse a v6
-	// endpoint. FormatRecord writes ip:port, so the port is always the
-	// text after the final colon.
-	i := strings.LastIndexByte(s, ':')
+func parseRecord(a *Activity, line []byte) error {
+	var truth []byte
+	if i := bytes.IndexByte(line, '#'); i >= 0 {
+		line, truth = line[:i], line[i+1:]
+	}
+	var f [8][]byte
+	n := 0
+	for i := 0; ; n++ {
+		start, end := nextField(line, i)
+		if start == end {
+			break
+		}
+		if n < len(f) {
+			f[n] = line[start:end]
+		}
+		i = end
+	}
+	if n != len(f) {
+		return fmt.Errorf("record has %d fields, want 8: %q", n, line)
+	}
+	var err error
+	if a.Timestamp, err = parseTimestamp(f[0]); err != nil {
+		return err
+	}
+	if a.Ctx.PID, err = atoi32(f[3]); err != nil {
+		return fmt.Errorf("pid %q: %w", f[3], err)
+	}
+	if a.Ctx.TID, err = atoi32(f[4]); err != nil {
+		return fmt.Errorf("tid %q: %w", f[4], err)
+	}
+	if a.Type = typeNamed(string(f[5])); a.Type == 0 {
+		_, err := ParseType(string(f[5]))
+		return err
+	}
+	i := bytes.IndexByte(f[6], '-')
 	if i < 0 {
-		return Endpoint{}, fmt.Errorf("endpoint %q: missing ':'", s)
+		return fmt.Errorf("channel %q: missing '-'", f[6])
 	}
-	ip, portStr := s[:i], s[i+1:]
-	if ip == "" {
-		return Endpoint{}, fmt.Errorf("endpoint %q: empty address", s)
-	}
-	port, err := strconv.Atoi(portStr)
+	srcIP, srcPort, err := parseEndpoint(f[6][:i])
 	if err != nil {
-		return Endpoint{}, fmt.Errorf("endpoint %q: %w", s, err)
+		return err
+	}
+	dstIP, dstPort, err := parseEndpoint(f[6][i+1:])
+	if err != nil {
+		return err
+	}
+	if a.Size, err = parseInt64(f[7]); err != nil {
+		return fmt.Errorf("size %q: %w", f[7], err)
+	}
+	a.ReqID, a.MsgID = -1, -1
+	if err := parseTruth(truth, a); err != nil {
+		return err
+	}
+	a.Chan.Src.Port, a.Chan.Dst.Port = srcPort, dstPort
+	// Decode boundary: bind only a fully valid line, so garbage never
+	// reaches the interner. The canonical copies also stop the record
+	// from pinning the line's buffer.
+	Syms.bindBytes(a, f[1], f[2], srcIP, dstIP)
+	return nil
+}
+
+// fieldByte marks the ASCII bytes that are field text: all but the white
+// space strings.Fields splits on. A byte >= 0x80 is unmarked; whether it
+// separates fields depends on the rune it starts (spaceAt).
+var fieldByte = func() (t [256]bool) {
+	for c := 0; c < utf8.RuneSelf; c++ {
+		t[c] = !strings.ContainsRune("\t\n\v\f\r ", rune(c))
+	}
+	return t
+}()
+
+// spaceAt reports whether the rune at b[i] is white space in
+// strings.Fields' sense, and its width. A byte >= 0x80 decodes the way
+// strings.Fields decodes it: unicode.IsSpace of the rune, and an invalid
+// byte is a one-byte non-space rune.
+func spaceAt(b []byte, i int) (bool, int) {
+	if b[i] < utf8.RuneSelf {
+		return !fieldByte[b[i]], 1
+	}
+	r, w := utf8.DecodeRune(b[i:])
+	return unicode.IsSpace(r), w
+}
+
+// nextField returns the bounds of the first field in b at or after i,
+// split exactly as strings.Fields splits. start == end == len(b) when
+// no field remains.
+func nextField(b []byte, i int) (start, end int) {
+	for i < len(b) {
+		sp, w := spaceAt(b, i)
+		if !sp {
+			break
+		}
+		i += w
+	}
+	start = i
+	for i < len(b) {
+		if fieldByte[b[i]] { // the common case, kept in the loop
+			i++
+			continue
+		}
+		sp, w := spaceAt(b, i)
+		if sp {
+			break
+		}
+		i += w
+	}
+	return start, i
+}
+
+// parseEndpoint splits ip:port on the LAST colon: IPv6 addresses
+// ("2001:db8::1") contain colons themselves, so a first-colon split can
+// never parse a v6 endpoint. FormatRecord writes ip:port, so the port is
+// always the text after the final colon.
+func parseEndpoint(b []byte) (ip []byte, port int, err error) {
+	i := bytes.LastIndexByte(b, ':')
+	if i < 0 {
+		return nil, 0, fmt.Errorf("endpoint %q: missing ':'", b)
+	}
+	if i == 0 {
+		return nil, 0, fmt.Errorf("endpoint %q: empty address", b)
+	}
+	if port, err = atoi(b[i+1:]); err != nil {
+		return nil, 0, fmt.Errorf("endpoint %q: %w", b, err)
 	}
 	if port < 0 || port > 65535 {
-		return Endpoint{}, fmt.Errorf("endpoint %q: port %d out of range", s, port)
+		return nil, 0, fmt.Errorf("endpoint %q: port %d out of range", b, port)
 	}
-	return Endpoint{IP: ip, Port: port}, nil
+	return b[:i], port, nil
 }
 
-func parseTruth(s string, a *Activity) error {
-	for _, kv := range strings.Fields(s) {
-		k, v, ok := strings.Cut(kv, "=")
-		if !ok {
+// parseTruth applies the testbed's "req=R msg=M" annotation (the text
+// after '#') to a.
+func parseTruth(b []byte, a *Activity) error {
+	for i := 0; ; {
+		start, end := nextField(b, i)
+		if start == end {
+			return nil
+		}
+		i = end
+		kv := b[start:end]
+		eq := bytes.IndexByte(kv, '=')
+		if eq < 0 {
 			return fmt.Errorf("truth annotation %q: missing '='", kv)
 		}
-		n, err := strconv.ParseInt(v, 10, 64)
+		n, err := parseInt64(kv[eq+1:])
 		if err != nil {
 			return fmt.Errorf("truth annotation %q: %w", kv, err)
 		}
-		switch k {
+		switch string(kv[:eq]) {
 		case "req":
 			a.ReqID = n
 		case "msg":
 			a.MsgID = n
 		default:
-			return fmt.Errorf("truth annotation: unknown key %q", k)
+			return fmt.Errorf("truth annotation: unknown key %q", kv[:eq])
 		}
 	}
-	return nil
 }
 
 // Writer emits TCP_TRACE log lines to an io.Writer.
@@ -258,28 +405,62 @@ func (w *Writer) Count() int64 { return w.count }
 // Flush flushes the underlying buffer.
 func (w *Writer) Flush() error { return w.w.Flush() }
 
-// ReadAll parses every record from r, assigning sequential IDs.
-func ReadAll(r io.Reader) ([]*Activity, error) {
+// LineReader decodes a TCP_TRACE log one record at a time, skipping
+// blank lines and "//" comment lines. It is the one line loop under
+// ReadAll, FileSource and the correlator's topology scan: each line is
+// decoded in place from the scanner's buffer by ParseRecordInto.
+type LineReader struct {
+	sc     *bufio.Scanner
+	lineNo int
+	err    error
+}
+
+// NewLineReader returns a LineReader over r.
+func NewLineReader(r io.Reader) *LineReader {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<16), 1<<20)
-	var out []*Activity
-	var id int64
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "//") {
+	return &LineReader{sc: sc}
+}
+
+// Next decodes the next record into *a. It returns false at the end of
+// the input or on the first error, which Err then reports; a decode error
+// names its 1-based line number.
+func (r *LineReader) Next(a *Activity) bool {
+	if r.err != nil {
+		return false
+	}
+	for r.sc.Scan() {
+		r.lineNo++
+		line := bytes.TrimSpace(r.sc.Bytes())
+		if len(line) == 0 || bytes.HasPrefix(line, []byte("//")) {
 			continue
 		}
-		a, err := ParseRecord(line)
-		if err != nil {
-			return nil, fmt.Errorf("line %d: %w", lineNo, err)
+		if err := ParseRecordInto(a, line); err != nil {
+			r.err = fmt.Errorf("line %d: %w", r.lineNo, err)
+			return false
 		}
-		a.ID = id
-		id++
+		return true
+	}
+	r.err = r.sc.Err()
+	return false
+}
+
+// Err returns the first decode or I/O error Next met, or nil.
+func (r *LineReader) Err() error { return r.err }
+
+// ReadAll parses every record from r, assigning sequential IDs.
+func ReadAll(r io.Reader) ([]*Activity, error) {
+	lr := NewLineReader(r)
+	var out []*Activity
+	for {
+		a := new(Activity)
+		if !lr.Next(a) {
+			break
+		}
+		a.ID = int64(len(out))
 		out = append(out, a)
 	}
-	if err := sc.Err(); err != nil {
+	if err := lr.Err(); err != nil {
 		return nil, err
 	}
 	return out, nil

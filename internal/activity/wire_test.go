@@ -32,7 +32,8 @@ func TestParseEndpoint(t *testing.T) {
 		{"2001:db8::1", Endpoint{IP: "2001:db8:", Port: 1}, true},
 	}
 	for _, c := range cases {
-		got, err := parseEndpoint(c.in)
+		ip, port, err := parseEndpoint([]byte(c.in))
+		got := Endpoint{IP: string(ip), Port: port}
 		if c.ok {
 			if err != nil {
 				t.Errorf("parseEndpoint(%q) error: %v", c.in, err)
@@ -136,5 +137,71 @@ func TestWriterCountShortWrite(t *testing.T) {
 	}
 	if n := w3.Count(); n != 1 {
 		t.Fatalf("Count() = %d, want 1", n)
+	}
+}
+
+// TestParseRecordPIDRange: CtxKey packs pid and tid as int32, so the text
+// decoder rejects a wider value instead of binding it to the key of the
+// pid it truncates to.
+func TestParseRecordPIDRange(t *testing.T) {
+	for _, c := range []struct{ line, err string }{
+		{"1 h p 99999999999 1 SEND a:1-b:2 3", `pid "99999999999": out of int32 range`},
+		{"1 h p 1 2147483648 SEND a:1-b:2 3", `tid "2147483648": out of int32 range`},
+		{"1 h p -2147483649 1 SEND a:1-b:2 3", `pid "-2147483649": out of int32 range`},
+	} {
+		if a, err := ParseRecord(c.line); err == nil || err.Error() != c.err {
+			t.Errorf("ParseRecord(%q) = %+v, %v; want error %s", c.line, a, err, c.err)
+		}
+	}
+	a, err := ParseRecord("1 h p 2147483647 -2147483648 SEND a:1-b:2 3")
+	if err != nil {
+		t.Fatalf("int32 extremes rejected: %v", err)
+	}
+	if a.Ctx.PID != 1<<31-1 || a.CtxK.PID != 1<<31-1 || a.CtxK.TID != -1<<31 {
+		t.Fatalf("int32 extremes mangled: %+v %+v", a.Ctx, a.CtxK)
+	}
+}
+
+// TestParseRecordIntoZeroAllocs: once the interner knows a line's
+// identity strings, decoding it — ground-truth annotation included — into
+// a reused record allocates nothing.
+func TestParseRecordIntoZeroAllocs(t *testing.T) {
+	line := []byte("12.345678 web1 httpd 2301 2304 RECEIVE 2001:db8::1:33210-10.0.0.1:80 512 # req=7 msg=13")
+	var a Activity
+	if err := ParseRecordInto(&a, line); err != nil { // warm the interner
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(1000, func() {
+		if err := ParseRecordInto(&a, line); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("ParseRecordInto allocates %v times per line on a warm interner, want 0", allocs)
+	}
+	if a.ReqID != 7 || a.MsgID != 13 || a.Chan.Src.IP != "2001:db8::1" || !a.CtxK.Bound() {
+		t.Fatalf("decoded %+v", a)
+	}
+}
+
+// TestLineReader: ReadAll, FileSource and the topology scan share one line
+// loop — blank and comment lines are skipped but counted, and a decode
+// error names its line.
+func TestLineReader(t *testing.T) {
+	log := "  // header\n\n0.000001 n1 httpd 1 1 RECEIVE 10.0.0.9:5000-10.0.0.1:80 100  \n0.000002 n1 httpd 1 1 SEND 10.0.0.1:1-10.0.0.2:2 x\n"
+	lr := NewLineReader(strings.NewReader(log))
+	var a Activity
+	if !lr.Next(&a) || a.Size != 100 || a.Type != Receive {
+		t.Fatalf("first record: %+v, err %v", a, lr.Err())
+	}
+	if lr.Next(&a) {
+		t.Fatalf("bad line decoded as %+v", a)
+	}
+	want := `line 4: size "x": strconv.ParseInt: parsing "x": invalid syntax`
+	if err := lr.Err(); err == nil || err.Error() != want {
+		t.Fatalf("Err() = %v, want %s", err, want)
+	}
+	if lr.Next(&a) {
+		t.Fatal("Next succeeded after an error")
 	}
 }

@@ -59,8 +59,11 @@ func (s *classifySource) Pop() *activity.Activity {
 // long inputs — with one, memory tracks recently-active components instead
 // of the trace size. Use Options.Sinks to also bound the output side.
 //
-// If Options.IPToHost is nil the traced-node map is inferred with a cheap
-// first pass over the logs.
+// If Options.IPToHost is nil the traced-node map is inferred first, by a
+// serial pass that decodes every line of every log a second time. That
+// pass decodes each line into one reused record (activity.LineReader over
+// activity.ParseRecordInto), so on a warm interner it allocates nothing
+// per line.
 func (c *Correlator) CorrelateDir(dir string) (*Result, error) {
 	if len(c.opts.EntryPorts) == 0 {
 		return nil, ErrNoEntryPorts
@@ -134,30 +137,24 @@ func closeAll(files []*activity.FileSource) {
 }
 
 // inferTopology scans the logs once, building the IP -> host map from
-// which node logged which endpoints (activity.InferIPToHost, streaming).
+// which node logged which endpoints (activity.NoteIPToHost, the rule of
+// activity.InferIPToHost, streaming). Every line decodes into the same
+// record: nothing of it outlives the scan but the interned strings the
+// map keeps.
 func inferTopology(dir string, names []string) (map[string]string, error) {
 	m := make(map[string]string)
+	var a activity.Activity
 	for _, name := range names {
-		host := strings.TrimSuffix(strings.TrimSuffix(name, ".gz"), ".trace")
-		fs, err := activity.OpenFileSource(host, filepath.Join(dir, name), nil)
+		r, err := activity.OpenLog(filepath.Join(dir, name))
 		if err != nil {
 			return nil, err
 		}
-		for {
-			a := fs.Pop()
-			if a == nil {
-				break
-			}
-			switch a.Type {
-			case activity.Send, activity.End:
-				m[a.Chan.Src.IP] = a.Ctx.Host
-			case activity.Receive, activity.Begin:
-				m[a.Chan.Dst.IP] = a.Ctx.Host
-			case activity.MaxType:
-			}
+		lines := activity.NewLineReader(r)
+		for lines.Next(&a) {
+			activity.NoteIPToHost(m, &a)
 		}
-		err = fs.Err()
-		if cerr := fs.Close(); err == nil {
+		err = lines.Err()
+		if cerr := r.Close(); err == nil {
 			err = cerr
 		}
 		if err != nil {
