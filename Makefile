@@ -19,9 +19,15 @@ GO ?= go
 # sketches and export sinks live in.
 COVER_MIN ?= 85
 
-.PHONY: ci vet lint build test race cover bench bench-allocs bench-promote bench-scaling soak soak-short perfbench fuzz-short
+.PHONY: ci fmt vet lint build test race cover bench bench-allocs bench-promote bench-scaling soak soak-short perfbench fuzz-short
 
-ci: vet lint build test race cover bench bench-allocs soak-short perfbench fuzz-short
+ci: fmt vet lint build test race cover bench bench-allocs soak-short perfbench fuzz-short
+
+# gofmt gate: fails, listing the files, if gofmt would rewrite any Go
+# file in the tree — the root module and the perfbench module alike.
+fmt:
+	@out=$$(gofmt -l .); \
+	if [ -n "$$out" ]; then echo "fmt: gofmt would rewrite:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...

@@ -49,7 +49,7 @@ func run() error {
 		hops      = flag.Bool("hops", false, "print per-component latency distributions (p50/p95/p99)")
 		outliers  = flag.Int("outliers", 0, "show the N slowest requests and their dominant component")
 		lint      = flag.Bool("lint", false, "check the trace for integrity problems before correlating")
-		shardBy   = flag.String("shardby", "flow", "flow-component partition policy: flow (request epochs) or context (whole context lifetimes)")
+		shardBy   = flag.String("shardby", "flow", "flow-component partition policy: flow (request epochs; exact on loss-free traces) or context (whole context lifetimes; stays exact when even ~1% of records are lost)")
 	)
 	shared := cli.RegisterCorrelator(flag.CommandLine)
 	pprofAddr := cli.RegisterPprof(flag.CommandLine)

@@ -62,8 +62,9 @@
 // reproduction implements it once (internal/core/stream.go). Every
 // execution mode is a configuration of the same streaming engine — the
 // online Session pushes live records into it, the offline
-// CorrelateTrace/CorrelateSources/CorrelateDir calls replay a recorded
-// input through it (push every activity, close every host, drain), and
+// CorrelateTrace and CorrelateDir calls replay a recorded input through
+// it with one copy-classify-push step (push every activity, close every
+// host, drain), and
 // Options.Workers merely sizes its correlation pool (1 = the sequential
 // configuration):
 //

@@ -75,57 +75,63 @@ func writeHostLog(path string, log []*Activity, withTruth, gz bool) error {
 // and whole-file readers assign identical IDs regardless of interleaving.
 func HostIDBase(i int) int64 { return int64(i) << 40 }
 
-// ReadHostLogs loads every *.trace / *.trace.gz file in dir, returning the
-// per-host logs keyed by the host name encoded in the file name. Record IDs
-// are HostIDBase(hostIndex) + line, matching what FileSource-based
-// streaming assigns, so ground-truth checking is consistent across both
-// read paths.
+// ListHostLogs lists the per-host logs in dir: every <host>.trace and
+// <host>.trace.gz file, in file-name order, as the host each file names
+// and its path. It is the one on-disk naming rule; the i-th log's record
+// IDs start at HostIDBase(i).
+func ListHostLogs(dir string) (hosts, paths []string, err error) {
+	entries, err := os.ReadDir(dir) // sorted by file name
+	if err != nil {
+		return nil, nil, err
+	}
+	for _, e := range entries {
+		n := e.Name()
+		if e.IsDir() || !(strings.HasSuffix(n, ".trace") || strings.HasSuffix(n, ".trace.gz")) {
+			continue
+		}
+		hosts = append(hosts, strings.TrimSuffix(strings.TrimSuffix(n, ".gz"), ".trace"))
+		paths = append(paths, filepath.Join(dir, n))
+	}
+	if len(paths) == 0 {
+		return nil, nil, fmt.Errorf("no .trace files in %s", dir)
+	}
+	return hosts, paths, nil
+}
+
+// ReadHostLogs loads every host log in dir (see ListHostLogs), returning
+// the per-host logs keyed by host name. Record IDs are
+// HostIDBase(hostIndex) + line, the IDs core.Correlator.CorrelateDir
+// assigns, so ground-truth checking is consistent across both read paths.
 func ReadHostLogs(dir string) (map[string][]*Activity, error) {
-	entries, err := os.ReadDir(dir)
+	hosts, paths, err := ListHostLogs(dir)
 	if err != nil {
 		return nil, err
 	}
-	var names []string
-	for _, e := range entries {
-		if e.IsDir() {
-			continue
-		}
-		n := e.Name()
-		if strings.HasSuffix(n, ".trace") || strings.HasSuffix(n, ".trace.gz") {
-			names = append(names, n)
-		}
-	}
-	sort.Strings(names)
-	if len(names) == 0 {
-		return nil, fmt.Errorf("no .trace files in %s", dir)
-	}
-	out := make(map[string][]*Activity, len(names))
-	for i, name := range names {
-		host := strings.TrimSuffix(strings.TrimSuffix(name, ".gz"), ".trace")
-		log, _, err := readLog(filepath.Join(dir, name), HostIDBase(i))
+	out := make(map[string][]*Activity, len(paths))
+	for i, path := range paths {
+		log, err := readLog(path, HostIDBase(i))
 		if err != nil {
-			return nil, fmt.Errorf("%s: %w", name, err)
+			return nil, fmt.Errorf("%s: %w", filepath.Base(path), err)
 		}
-		out[host] = log
+		out[hosts[i]] = log
 	}
 	return out, nil
 }
 
-func readLog(path string, idBase int64) ([]*Activity, int64, error) {
+func readLog(path string, idBase int64) ([]*Activity, error) {
 	r, err := OpenLog(path)
 	if err != nil {
-		return nil, idBase, err
+		return nil, err
 	}
 	defer r.Close()
 	as, err := ReadAll(r)
 	if err != nil {
-		return nil, idBase, err
+		return nil, err
 	}
-	for _, a := range as {
-		a.ID = idBase
-		idBase++
+	for i, a := range as {
+		a.ID = idBase + int64(i)
 	}
-	return as, idBase, nil
+	return as, nil
 }
 
 // OpenLog opens one host log for reading, decompressing it when the name
@@ -174,77 +180,4 @@ func Merge(perHost map[string][]*Activity) []*Activity {
 		out = append(out, perHost[h]...)
 	}
 	return out
-}
-
-// FileSource lazily parses one host's log so the ranker can stream from
-// disk without materialising the trace in memory. It satisfies the ranker's
-// Source interface structurally (Host/Peek/Pop).
-type FileSource struct {
-	host   string
-	r      io.ReadCloser
-	lines  *LineReader
-	next   *Activity
-	idNext *int64
-}
-
-// OpenFileSource opens a host log (plain or gzip). ids, when non-nil, is a
-// shared counter used to assign unique record IDs across sources.
-func OpenFileSource(host, path string, ids *int64) (*FileSource, error) {
-	r, err := OpenLog(path)
-	if err != nil {
-		return nil, err
-	}
-	s := &FileSource{host: host, r: r, lines: NewLineReader(r), idNext: ids}
-	s.advance()
-	return s, nil
-}
-
-// Host implements the Source contract.
-func (s *FileSource) Host() string { return s.host }
-
-// Peek implements the Source contract.
-func (s *FileSource) Peek() *Activity { return s.next }
-
-// Pop implements the Source contract.
-func (s *FileSource) Pop() *Activity {
-	a := s.next
-	if a != nil {
-		s.advance()
-	}
-	return a
-}
-
-// Err returns the first parse or I/O error encountered; a parse error
-// names its line.
-func (s *FileSource) Err() error { return s.lines.Err() }
-
-// Close releases the underlying files.
-func (s *FileSource) Close() error {
-	if s.r == nil {
-		return nil
-	}
-	err := s.r.Close()
-	s.r = nil
-	return err
-}
-
-// advance decodes the next record into a fresh one: Pop hands records
-// over to the consumer, which keeps them.
-func (s *FileSource) advance() {
-	a := new(Activity)
-	if !s.lines.Next(a) {
-		s.next = nil
-		return
-	}
-	if s.idNext != nil {
-		a.ID = *s.idNext
-		*s.idNext++
-	}
-	s.next = a
-}
-
-// openAppend opens a file for appending (test helper exported within the
-// package).
-func openAppend(path string) (*os.File, error) {
-	return os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0o644)
 }

@@ -1,7 +1,10 @@
 package activity
 
 import (
+	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 )
@@ -81,78 +84,32 @@ func TestMergeOrdersHosts(t *testing.T) {
 	}
 }
 
-func TestFileSourceStreams(t *testing.T) {
-	for _, gz := range []bool{false, true} {
-		dir := t.TempDir()
-		if err := WriteHostLogs(dir, hostLogs(), true, gz); err != nil {
-			t.Fatal(err)
-		}
-		var ids int64
-		src, err := OpenFileSource("web1", filepath.Join(dir, HostLogName("web1", gz)), &ids)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if src.Host() != "web1" {
-			t.Fatalf("host = %q", src.Host())
-		}
-		count := 0
-		var lastTS time.Duration
-		for {
-			a := src.Peek()
-			if a == nil {
-				break
-			}
-			if got := src.Pop(); got != a {
-				t.Fatal("Pop != Peek")
-			}
-			if a.Timestamp < lastTS {
-				t.Fatal("stream out of order")
-			}
-			lastTS = a.Timestamp
-			count++
-		}
-		if count != 5 {
-			t.Fatalf("gz=%v: streamed %d records, want 5", gz, count)
-		}
-		if src.Err() != nil {
-			t.Fatalf("source error: %v", src.Err())
-		}
-		if err := src.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if ids != 5 {
-			t.Fatalf("ids assigned = %d", ids)
-		}
-	}
-}
-
-func TestFileSourceParseError(t *testing.T) {
+// TestListHostLogs: the one naming rule — <host>.trace and
+// <host>.trace.gz files in file-name order, everything else skipped.
+func TestListHostLogs(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "bad.trace")
-	if err := writeHostLog(path, hostLogs()["app1"], false, false); err != nil {
+	for _, name := range []string{"web1.trace", "db1.trace.gz", "notes.txt", "app1.trace", "old.trace.bak"} {
+		if err := os.WriteFile(filepath.Join(dir, name), nil, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.Mkdir(filepath.Join(dir, "sub.trace"), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	// Append a corrupt line.
-	f, err := openAppend(path)
+	hosts, paths, err := ListHostLogs(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.WriteString("not a record\n"); err != nil {
-		t.Fatal(err)
+	wantHosts := []string{"app1", "db1", "web1"}
+	wantPaths := []string{
+		filepath.Join(dir, "app1.trace"),
+		filepath.Join(dir, "db1.trace.gz"),
+		filepath.Join(dir, "web1.trace"),
 	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
+	if !slices.Equal(hosts, wantHosts) || !slices.Equal(paths, wantPaths) {
+		t.Fatalf("ListHostLogs = %q, %q; want %q, %q", hosts, paths, wantHosts, wantPaths)
 	}
-	src, err := OpenFileSource("app1", path, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer src.Close()
-	for src.Pop() != nil {
-	}
-	// app1's log holds three records, so the corrupt line is line 4.
-	want := `line 4: record has 3 fields, want 8: "not a record"`
-	if err := src.Err(); err == nil || err.Error() != want {
-		t.Fatalf("Err() = %v, want %s", err, want)
+	if _, _, err := ListHostLogs(t.TempDir()); err == nil || !strings.Contains(err.Error(), "no .trace files") {
+		t.Fatalf("empty dir: err = %v", err)
 	}
 }

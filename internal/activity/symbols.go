@@ -165,18 +165,32 @@ var Syms = NewSymbols()
 // concurrent use on distinct records, but two goroutines must not bind
 // the same record concurrently (it writes to *a).
 func Bind(a *Activity) {
-	if a.CtxK.Bound() {
-		return
+	if !a.CtxK.Bound() {
+		Syms.bind(a)
 	}
-	var c string
-	a.CtxK.Host, c = Syms.intern(a.Ctx.Host)
-	a.Ctx.Host = c
-	a.CtxK.Prog, c = Syms.intern(a.Ctx.Program)
-	a.Ctx.Program = c
-	a.ChanK.SrcIP, c = Syms.intern(a.Chan.Src.IP)
-	a.Chan.Src.IP = c
-	a.ChanK.DstIP, c = Syms.intern(a.Chan.Dst.IP)
-	a.Chan.Dst.IP = c
+}
+
+// bind is Bind on s. When all four identity strings are already interned
+// (the steady state) it looks them up under one read lock.
+func (s *Symbols) bind(a *Activity) {
+	s.mu.RLock()
+	h, okH := s.ids[a.Ctx.Host]
+	p, okP := s.ids[a.Ctx.Program]
+	src, okS := s.ids[a.Chan.Src.IP]
+	dst, okD := s.ids[a.Chan.Dst.IP]
+	if okH && okP && okS && okD {
+		a.CtxK.Host, a.Ctx.Host = h, s.strs[h]
+		a.CtxK.Prog, a.Ctx.Program = p, s.strs[p]
+		a.ChanK.SrcIP, a.Chan.Src.IP = src, s.strs[src]
+		a.ChanK.DstIP, a.Chan.Dst.IP = dst, s.strs[dst]
+		s.mu.RUnlock()
+	} else {
+		s.mu.RUnlock()
+		a.CtxK.Host, a.Ctx.Host = s.intern(a.Ctx.Host)
+		a.CtxK.Prog, a.Ctx.Program = s.intern(a.Ctx.Program)
+		a.ChanK.SrcIP, a.Chan.Src.IP = s.intern(a.Chan.Src.IP)
+		a.ChanK.DstIP, a.Chan.Dst.IP = s.intern(a.Chan.Dst.IP)
+	}
 	packInts(a)
 }
 

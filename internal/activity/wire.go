@@ -407,8 +407,9 @@ func (w *Writer) Flush() error { return w.w.Flush() }
 
 // LineReader decodes a TCP_TRACE log one record at a time, skipping
 // blank lines and "//" comment lines. It is the one line loop under
-// ReadAll, FileSource and the correlator's topology scan: each line is
-// decoded in place from the scanner's buffer by ParseRecordInto.
+// ReadAll and the correlator's directory pass and topology scan: each
+// line is decoded in place from the scanner's buffer by ParseRecordInto,
+// so a caller reusing one record allocates nothing per line.
 type LineReader struct {
 	sc     *bufio.Scanner
 	lineNo int

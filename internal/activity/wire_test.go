@@ -184,7 +184,7 @@ func TestParseRecordIntoZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestLineReader: ReadAll, FileSource and the topology scan share one line
+// TestLineReader: ReadAll, CorrelateDir and the topology scan share one line
 // loop — blank and comment lines are skipped but counted, and a decode
 // error names its line.
 func TestLineReader(t *testing.T) {

@@ -12,8 +12,9 @@
 // records into BEGIN/END activities.
 //
 // Every execution mode is the same streaming pipeline (see stream.go):
-// the offline CorrelateTrace/CorrelateSources/CorrelateDir calls replay
-// their input into it — push every activity, close every host, drain.
+// the offline CorrelateTrace and CorrelateDir calls replay their input
+// into it through one copy-classify-push step — push every activity,
+// close every host, drain.
 //
 // Typical offline use:
 //
@@ -191,19 +192,23 @@ func (o *Options) maxHorizon() time.Duration {
 
 // ShardMode selects the partition policy of the streaming engine
 // (Options.ShardBy). Both policies shard by TCP flow key — the union-find
-// closure over channels and contexts computed by internal/flow — and both
-// produce graphs identical to the global sequential pass; they differ in
-// how the context relation is scoped, i.e. how fine the shards get.
+// closure over channels and contexts computed by internal/flow — and on
+// well-formed traces both produce graphs identical to the global
+// sequential pass; they differ in how the context relation is scoped,
+// i.e. how fine the shards get, and so in what record loss they survive.
 type ShardMode int
 
 const (
 	// ShardByFlow (default) breaks context chains at request-epoch
 	// boundaries: thread-pool reuse does not merge unrelated requests into
-	// one shard. Finest sharding, exact on well-formed traces.
+	// one shard. Finest sharding, exact on well-formed (loss-free)
+	// traces.
 	ShardByFlow ShardMode = iota
 	// ShardByContext unions a context's whole lifetime — coarser shards
-	// that stay exact even when epoch boundaries are unrecoverable
-	// (heavily truncated or lossy traces).
+	// that stay exact even when epoch boundaries are unrecoverable, as
+	// they are on lossy or truncated traces: about 1% record loss is
+	// enough for ShardByFlow to split what the global pass joins
+	// (TestShardByContextExactUnderLoss).
 	ShardByContext
 )
 
@@ -354,7 +359,7 @@ func (r *Result) Unfinished() int {
 }
 
 // Correlator is the reusable façade. Each call to CorrelateTrace or
-// CorrelateSources runs an independent pipeline instance.
+// CorrelateDir runs an independent pipeline instance.
 type Correlator struct {
 	opts Options
 	err  error // deferred Options validation failure
@@ -374,8 +379,9 @@ func New(opts Options) *Correlator {
 // ErrNoEntryPorts reports a configuration that can never produce a CAG.
 var ErrNoEntryPorts = errors.New("core: no entry ports configured; no request can begin")
 
-// CorrelateTrace classifies and correlates a merged multi-node trace. The
-// input slice is not modified; classification happens on shallow copies.
+// CorrelateTrace classifies and correlates a merged multi-node trace.
+// Neither the input slice nor its records are modified: classification
+// and binding happen on the session's own copies.
 //
 // The trace is replayed through the streaming engine in trace order
 // (push, close every host, drain) — with a seal horizon configured the
@@ -389,19 +395,6 @@ func (c *Correlator) CorrelateTrace(trace []*activity.Activity) (*Result, error)
 		return nil, ErrNoEntryPorts
 	}
 	return c.replayTrace(trace)
-}
-
-// CorrelateSources runs the pipeline over pre-classified per-node sources.
-// totalHint sizes the result accounting; pass 0 when unknown.
-//
-// The sources are merged by timestamp and replayed through the streaming
-// engine, which buffers each flow component until it seals — configure a
-// seal horizon to bound that buffering on long inputs.
-func (c *Correlator) CorrelateSources(sources []ranker.Source, totalHint int) (*Result, error) {
-	if c.err != nil {
-		return nil, c.err
-	}
-	return c.replaySources(sources, totalHint)
 }
 
 // drive runs the ranker+engine pair to exhaustion over per-node sources —

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -110,6 +112,38 @@ func TestNoEntryPortsRejected(t *testing.T) {
 	_, err := New(Options{Window: time.Millisecond}).CorrelateTrace(res.Trace)
 	if err == nil {
 		t.Fatal("expected ErrNoEntryPorts")
+	}
+}
+
+// TestCorrelateTraceLeavesInputUnmodified: CorrelateTrace classifies and
+// binds its own copies. An unbound trace (hand-built records carry no
+// dense keys) must come back exactly as it went in, field for field —
+// including through the early-close safety scan, which reads every
+// record.
+func TestCorrelateTraceLeavesInputUnmodified(t *testing.T) {
+	res := fastRun(t, 20, nil)
+	trace := make([]*activity.Activity, len(res.Trace))
+	want := make([]activity.Activity, len(res.Trace))
+	for i, a := range res.Trace {
+		cp := *a
+		cp.CtxK, cp.ChanK = activity.CtxKey{}, activity.ChanKey{}
+		trace[i], want[i] = &cp, cp
+	}
+	out, err := New(options(res)).CorrelateTrace(trace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(out.Graphs) != res.Truth.Requests() {
+		t.Fatalf("graphs = %d, want %d", len(out.Graphs), res.Truth.Requests())
+	}
+	changed := 0
+	for i, a := range trace {
+		if *a != want[i] {
+			changed++
+		}
+	}
+	if changed > 0 {
+		t.Fatalf("CorrelateTrace modified %d of %d input records (first: %v)", changed, len(trace), trace[0])
 	}
 }
 
@@ -242,6 +276,82 @@ func TestCorrelateDirAccuracyMatchesInMemory(t *testing.T) {
 	rep := truth.Evaluate(out.Graphs)
 	if rep.PathAccuracy() != 1.0 {
 		t.Fatalf("dir accuracy: %v", rep)
+	}
+}
+
+// TestCorrelateDirMatchesTrace: CorrelateDir's timestamp merge of the
+// host logs (ties to the host whose file sorts first) is the arrival
+// order of the logs' merged records, so with or without a seal horizon
+// the directory pass must equal CorrelateTrace over that order graph for
+// graph — the same forced seals and late links included, since both
+// replays drain on the same record cadence.
+func TestCorrelateDirMatchesTrace(t *testing.T) {
+	res := rubisTrace(t, 60, 0.02, 4)
+	dir := t.TempDir()
+	if err := activity.WriteHostLogs(dir, res.PerHost, true, false); err != nil {
+		t.Fatal(err)
+	}
+	perHost, err := activity.ReadHostLogs(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	trace := arrivalOrder(activity.Merge(perHost))
+	for _, seal := range []time.Duration{0, 2 * time.Millisecond, 20 * time.Millisecond} {
+		opts := options(res)
+		opts.SealAfter = seal
+		want, err := New(opts).CorrelateTrace(trace)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := New(opts).CorrelateDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		label := "sealafter=" + seal.String()
+		assertSameGraphs(t, label, want, got)
+		if got.ForcedSeals != want.ForcedSeals || got.LateLinks != want.LateLinks || got.Activities != want.Activities {
+			t.Fatalf("%s: dir forced/late/activities %d/%d/%d, trace %d/%d/%d", label,
+				got.ForcedSeals, got.LateLinks, got.Activities, want.ForcedSeals, want.LateLinks, want.Activities)
+		}
+		if (seal > 0) != (got.ForcedSeals > 0) {
+			t.Fatalf("%s: %d forced seals", label, got.ForcedSeals)
+		}
+		t.Logf("%s: %d graphs, %d forced seals, %d late links", label, len(got.Graphs), got.ForcedSeals, got.LateLinks)
+	}
+}
+
+// TestCorrelateDirDecodeError: a corrupt line is reported with its host
+// and line number, by the correlation pass when IPToHost is given and by
+// the topology scan when it is inferred.
+func TestCorrelateDirDecodeError(t *testing.T) {
+	dir := t.TempDir()
+	perHost := map[string][]*activity.Activity{"web1": {}, "app1": {}}
+	for i := 0; i < 3; i++ {
+		ts := time.Duration(i) * time.Millisecond
+		perHost["web1"] = append(perHost["web1"], mkRaw(int64(i), activity.Send, ts, "web1", "httpd", 1, "10.0.0.1", "10.0.0.2", 4000, 8009))
+		perHost["app1"] = append(perHost["app1"], mkRaw(int64(i), activity.Receive, ts+time.Microsecond, "app1", "java", 1, "10.0.0.1", "10.0.0.2", 4000, 8009))
+	}
+	if err := activity.WriteHostLogs(dir, perHost, false, false); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(filepath.Join(dir, "app1.trace"), os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString("not a record\n"); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	const bad = `line 4: record has 3 fields, want 8: "not a record"`
+	opts := Options{EntryPorts: []int{80}, IPToHost: map[string]string{"10.0.0.1": "web1", "10.0.0.2": "app1"}}
+	if _, err := New(opts).CorrelateDir(dir); err == nil || err.Error() != "core: app1: "+bad {
+		t.Fatalf("CorrelateDir error = %v, want %q", err, "core: app1: "+bad)
+	}
+	opts.IPToHost = nil
+	if _, err := New(opts).CorrelateDir(dir); err == nil || err.Error() != "core: infer topology from app1.trace: "+bad {
+		t.Fatalf("inferred CorrelateDir error = %v", err)
 	}
 }
 

@@ -2,62 +2,28 @@ package core
 
 import (
 	"fmt"
-	"os"
+	"io"
 	"path/filepath"
-	"sort"
-	"strings"
+	"time"
 
 	"repro/internal/activity"
-	"repro/internal/ranker"
 )
-
-// classifySource wraps a lazy source and applies the §3.1 BEGIN/END
-// transformation as records stream out, so directory correlation never
-// materialises a whole trace.
-type classifySource struct {
-	src interface {
-		Host() string
-		Peek() *activity.Activity
-		Pop() *activity.Activity
-	}
-	cls  *activity.Classifier
-	next *activity.Activity
-}
-
-func (s *classifySource) fill() {
-	if s.next == nil {
-		if a := s.src.Pop(); a != nil {
-			a.Type = s.cls.Classify(a)
-			s.next = a
-		}
-	}
-}
-
-// Host implements ranker.Source.
-func (s *classifySource) Host() string { return s.src.Host() }
-
-// Peek implements ranker.Source.
-func (s *classifySource) Peek() *activity.Activity {
-	s.fill()
-	return s.next
-}
-
-// Pop implements ranker.Source.
-func (s *classifySource) Pop() *activity.Activity {
-	s.fill()
-	a := s.next
-	s.next = nil
-	return a
-}
 
 // CorrelateDir streams one correlation pass over a directory of per-host
 // TCP_TRACE logs (<host>.trace or <host>.trace.gz, as written by
-// activity.WriteHostLogs / rubisgen -splitdir). The logs are decoded
-// lazily and replayed through the streaming engine (see CorrelateSources),
-// which buffers each flow component until it seals: configure a seal
-// horizon (Options.SealAfter / SealAfterByHost) to bound that buffering on
-// long inputs — with one, memory tracks recently-active components instead
-// of the trace size. Use Options.Sinks to also bound the output side.
+// activity.WriteHostLogs / rubisgen -splitdir; see activity.ListHostLogs).
+// The logs are decoded lazily, one lookahead record per host, and merged
+// in timestamp order (ties go to the host whose file name sorts first)
+// through the same copy-classify-push step as CorrelateTrace, so the
+// streaming engine buffers each flow component until it seals: configure
+// a seal horizon (Options.SealAfter / SealAfterByHost) to bound that
+// buffering on long inputs — with one, memory tracks recently-active
+// components instead of the trace size. Use Options.Sinks to also bound
+// the output side. Every host closes at the end of the pass.
+//
+// Record IDs are activity.HostIDBase(i) plus the record's position in the
+// i-th log, the IDs activity.ReadHostLogs assigns. The first decode error
+// is reported as "core: <host>: line N: …".
 //
 // If Options.IPToHost is nil the traced-node map is inferred first, by a
 // serial pass that decodes every line of every log a second time. That
@@ -65,75 +31,91 @@ func (s *classifySource) Pop() *activity.Activity {
 // activity.ParseRecordInto), so on a warm interner it allocates nothing
 // per line.
 func (c *Correlator) CorrelateDir(dir string) (*Result, error) {
+	if c.err != nil {
+		return nil, c.err
+	}
 	if len(c.opts.EntryPorts) == 0 {
 		return nil, ErrNoEntryPorts
 	}
-	entries, err := os.ReadDir(dir)
+	hosts, paths, err := activity.ListHostLogs(dir)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("core: %w", err)
 	}
-	var names []string
-	for _, e := range entries {
-		if e.IsDir() {
-			continue
-		}
-		if strings.HasSuffix(e.Name(), ".trace") || strings.HasSuffix(e.Name(), ".trace.gz") {
-			names = append(names, e.Name())
-		}
-	}
-	sort.Strings(names)
-	if len(names) == 0 {
-		return nil, fmt.Errorf("core: no .trace files in %s", dir)
-	}
-
 	opts := c.opts
 	if opts.IPToHost == nil {
-		m, err := inferTopology(dir, names)
+		if opts.IPToHost, err = inferTopology(paths); err != nil {
+			return nil, err
+		}
+	}
+
+	logs := make([]hostLog, len(paths))
+	defer func() {
+		for _, l := range logs {
+			if l.r != nil {
+				l.r.Close()
+			}
+		}
+	}()
+	for i, path := range paths {
+		r, err := activity.OpenLog(path)
 		if err != nil {
 			return nil, err
 		}
-		opts.IPToHost = m
-	}
-
-	cls := activity.NewClassifier(opts.EntryPorts...)
-	counters := make([]int64, len(names))
-	var sources []ranker.Source
-	var files []*activity.FileSource
-	for i, name := range names {
-		host := strings.TrimSuffix(strings.TrimSuffix(name, ".gz"), ".trace")
-		counters[i] = activity.HostIDBase(i)
-		fs, err := activity.OpenFileSource(host, filepath.Join(dir, name), &counters[i])
-		if err != nil {
-			closeAll(files)
+		logs[i] = hostLog{host: hosts[i], r: r, lines: activity.NewLineReader(r), id: activity.HostIDBase(i)}
+		if err := logs[i].next(); err != nil {
 			return nil, err
 		}
-		files = append(files, fs)
-		sources = append(sources, &classifySource{src: fs, cls: cls})
 	}
-	defer closeAll(files)
 
-	sub := New(opts)
-	res, err := sub.CorrelateSources(sources, 0)
+	start := time.Now()
+	s := newSession(opts, hosts)
+	pushed := 0
+	for {
+		pick := -1
+		for i := range logs {
+			if logs[i].ok && (pick < 0 || logs[i].a.Timestamp < logs[pick].a.Timestamp) {
+				pick = i
+			}
+		}
+		if pick < 0 {
+			break
+		}
+		s.replayIngest(&logs[pick].a)
+		pushed++
+		if err = logs[pick].next(); err != nil {
+			break
+		}
+	}
+	res := c.finishReplay(s, pushed, start)
 	if err != nil {
 		return nil, err
-	}
-	total := 0
-	for i := range counters {
-		total += int(counters[i] - activity.HostIDBase(i))
-	}
-	res.Activities = total
-	for _, fs := range files {
-		if ferr := fs.Err(); ferr != nil {
-			return nil, fmt.Errorf("core: %s: %w", fs.Host(), ferr)
-		}
 	}
 	return res, nil
 }
 
-func closeAll(files []*activity.FileSource) {
-	for _, f := range files {
-		_ = f.Close()
+// hostLog is one host's log during CorrelateDir: the open file, its line
+// decoder, and the lookahead record the timestamp merge compares.
+type hostLog struct {
+	host  string
+	r     io.ReadCloser
+	lines *activity.LineReader
+	a     activity.Activity // lookahead; valid while ok
+	ok    bool
+	id    int64 // the next record's ID
+}
+
+// next decodes the log's next record into the lookahead, reporting a
+// decode or I/O error under the host's name.
+func (l *hostLog) next() error {
+	if l.ok = l.lines.Next(&l.a); l.ok {
+		l.a.ID = l.id
+		l.id++
+		return nil
 	}
+	if err := l.lines.Err(); err != nil {
+		return fmt.Errorf("core: %s: %w", l.host, err)
+	}
+	return nil
 }
 
 // inferTopology scans the logs once, building the IP -> host map from
@@ -141,11 +123,11 @@ func closeAll(files []*activity.FileSource) {
 // activity.InferIPToHost, streaming). Every line decodes into the same
 // record: nothing of it outlives the scan but the interned strings the
 // map keeps.
-func inferTopology(dir string, names []string) (map[string]string, error) {
+func inferTopology(paths []string) (map[string]string, error) {
 	m := make(map[string]string)
 	var a activity.Activity
-	for _, name := range names {
-		r, err := activity.OpenLog(filepath.Join(dir, name))
+	for _, path := range paths {
+		r, err := activity.OpenLog(path)
 		if err != nil {
 			return nil, err
 		}
@@ -158,7 +140,7 @@ func inferTopology(dir string, names []string) (map[string]string, error) {
 			err = cerr
 		}
 		if err != nil {
-			return nil, fmt.Errorf("core: infer topology from %s: %w", name, err)
+			return nil, fmt.Errorf("core: infer topology from %s: %w", filepath.Base(path), err)
 		}
 	}
 	return m, nil

@@ -9,30 +9,27 @@ import (
 	"repro/internal/rubis"
 )
 
-// globalExactPass reimplements the retired globalSession inline: buffer
-// the whole classified trace per host, then run ONE ranker+engine over
-// all hosts' sources in declared host order — the Fig. 5 is_noise
-// predicate consulting one global buffer. It exists only as the
-// reference the sharded exact mode is held to, so the byte-identity
-// proof survives in-repo after the pre-refactor golden dumps are gone.
-func globalExactPass(res *rubis.Result, hosts []string) *Result {
-	opts := options(res)
-	opts.PaperExactNoise = true
+// globalPass reimplements the retired global session inline: buffer the
+// whole classified trace per host (in trace order), then run ONE
+// ranker+engine over all hosts' sources in declared host order — with
+// PaperExactNoise, the Fig. 5 is_noise predicate consulting one global
+// buffer. It exists only as the reference the sharded engine is held to,
+// so the byte-identity proof survives in-repo after the pre-refactor
+// golden dumps are gone.
+func globalPass(opts Options, trace []*activity.Activity, hosts []string) *Result {
 	cls := activity.NewClassifier(opts.EntryPorts...)
 	perHost := make(map[string][]*activity.Activity, len(hosts))
-	n := 0
-	for _, a := range arrivalOrder(res.Trace) {
+	for _, a := range trace {
 		cp := *a
 		cp.Type = cls.Classify(a)
 		perHost[cp.Ctx.Host] = append(perHost[cp.Ctx.Host], &cp)
-		n++
 	}
 	sources := make([]ranker.Source, 0, len(hosts))
 	for _, h := range hosts {
 		sources = append(sources, ranker.NewSliceSource(h, perHost[h]))
 	}
 	_, eng := New(opts).drive(sources)
-	return &Result{Graphs: eng.Outputs(), Activities: n}
+	return &Result{Graphs: eng.Outputs(), Activities: len(trace)}
 }
 
 // TestExactModeMatchesGlobalPass is the standing equivalence proof for
@@ -46,13 +43,13 @@ func globalExactPass(res *rubis.Result, hosts []string) *Result {
 func TestExactModeMatchesGlobalPass(t *testing.T) {
 	res := fastRun(t, 40, func(c *rubis.Config) { c.NoiseSessions = 6 })
 	hosts := hostsOf(res)
-	want := globalExactPass(res, hosts)
+	opts := options(res)
+	opts.PaperExactNoise = true
+	want := globalPass(opts, arrivalOrder(res.Trace), hosts)
 	if len(want.Graphs) == 0 {
 		t.Fatal("global reference pass produced no graphs")
 	}
 
-	opts := options(res)
-	opts.PaperExactNoise = true
 	off, err := New(opts).CorrelateTrace(res.Trace)
 	if err != nil {
 		t.Fatal(err)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -382,6 +383,7 @@ func TestOptionsValidation(t *testing.T) {
 			o.SealAfterByHost = map[string]time.Duration{"": time.Second}
 		}, "host name"},
 	}
+	missing := filepath.Join(t.TempDir(), "missing")
 	for _, tc := range cases {
 		opts := base()
 		tc.mutate(&opts)
@@ -391,8 +393,10 @@ func TestOptionsValidation(t *testing.T) {
 		if _, err := New(opts).CorrelateTrace(nil); err == nil || !strings.Contains(err.Error(), tc.frag) {
 			t.Errorf("%s: CorrelateTrace error = %v, want mention of %q", tc.name, err, tc.frag)
 		}
-		if _, err := New(opts).CorrelateSources(nil, 0); err == nil || !strings.Contains(err.Error(), tc.frag) {
-			t.Errorf("%s: CorrelateSources error = %v, want mention of %q", tc.name, err, tc.frag)
+		// A missing directory: only an options check made before any log
+		// is read can yield the options error.
+		if _, err := New(opts).CorrelateDir(missing); err == nil || !strings.Contains(err.Error(), tc.frag) {
+			t.Errorf("%s: CorrelateDir error = %v, want mention of %q", tc.name, err, tc.frag)
 		}
 	}
 	// Per-host horizons alone (no global default) are a valid continuous

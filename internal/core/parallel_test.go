@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/activity"
 	"repro/internal/cag"
 	"repro/internal/rubis"
 )
@@ -136,6 +137,61 @@ func TestParallelEquivalence(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestShardByContextExactUnderLoss is why ShardBy exists: about 1%
+// record loss (every record with i%97 == 3 dropped) already removes
+// request-epoch boundaries that ShardByFlow relies on, so the default
+// flow sharding splits what the global ranker+engine pass
+// (Correlator.drive over every host at once) correlates together.
+// ShardByContext, which unions each context's whole lifetime, still
+// matches that pass graph for graph.
+func TestShardByContextExactUnderLoss(t *testing.T) {
+	res := rubisTrace(t, 60, 0.02, 6)
+	var lossy []*activity.Activity
+	for i, a := range res.Trace {
+		if i%97 != 3 {
+			lossy = append(lossy, a)
+		}
+	}
+	opts := Options{Window: 10 * time.Millisecond, EntryPorts: []int{rubis.EntryPort}, IPToHost: res.IPToHost}
+	want := globalPass(opts, lossy, hostsOf(res))
+	if len(want.Graphs) == 0 {
+		t.Fatal("global reference pass produced no graphs")
+	}
+	flowDiffers := false
+	for _, workers := range []int{1, 4} {
+		for _, mode := range []ShardMode{ShardByFlow, ShardByContext} {
+			o := opts
+			o.Workers, o.ShardBy = workers, mode
+			got, err := New(o).CorrelateTrace(lossy)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if mode == ShardByContext {
+				assertSameGraphs(t, fmt.Sprintf("workers=%d shardby=context", workers), want, got)
+			} else if !sameFingerprints(want, got) {
+				flowDiffers = true
+			}
+		}
+	}
+	if !flowDiffers {
+		t.Fatal("ShardByFlow matched the global pass on the lossy fixture; the fixture no longer shows why ShardByContext exists")
+	}
+}
+
+// sameFingerprints reports whether two results emit identical graphs in
+// the same order.
+func sameFingerprints(a, b *Result) bool {
+	if len(a.Graphs) != len(b.Graphs) {
+		return false
+	}
+	for i := range a.Graphs {
+		if fingerprint(a.Graphs[i]) != fingerprint(b.Graphs[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // TestParallelDeterminism runs the concurrent path repeatedly: goroutine

@@ -121,48 +121,37 @@ func TestTickNonBlockingDelivery(t *testing.T) {
 // the close-at-end replay.
 func TestEarlyCloseSafeGate(t *testing.T) {
 	res := rubisTrace(t, 40, 0.02, 2)
-	set := map[string]struct{}{}
-	for _, a := range res.Trace {
-		set[a.Ctx.Host] = struct{}{}
+	safe := func(ipToHost map[string]string) bool {
+		for _, a := range res.Trace {
+			if !earlyCloseSafe(ipToHost, a) {
+				return false
+			}
+		}
+		return true
 	}
-	traceHosts := make([]string, 0, len(set))
-	for h := range set {
-		traceHosts = append(traceHosts, h)
-	}
-	sort.Strings(traceHosts)
-	base := Options{Window: 10 * time.Millisecond, EntryPorts: []int{rubis.EntryPort}, IPToHost: res.IPToHost}
-	s := newSession(base, traceHosts)
-	if !s.earlyCloseSafe(res.Trace) {
+	if !safe(res.IPToHost) {
 		t.Fatal("fully resolved rubis trace should allow early close")
 	}
-	s.Close()
 
 	// Remove one traced host's address mapping: its records' own-side
 	// endpoints stop resolving, so early close must be refused.
-	partial := base
-	partial.IPToHost = map[string]string{}
+	partial := map[string]string{}
 	var dropped string
 	for ip, h := range res.IPToHost {
 		if dropped == "" || h == dropped {
 			dropped = h
 			continue
 		}
-		partial.IPToHost[ip] = h
+		partial[ip] = h
 	}
-	s2 := newSession(partial, traceHosts)
-	if s2.earlyCloseSafe(res.Trace) {
+	if safe(partial) {
 		t.Fatalf("trace with host %q unmapped should refuse early close", dropped)
 	}
-	s2.Close()
 
 	// No resolution at all: refuse outright.
-	bare := base
-	bare.IPToHost = nil
-	s3 := newSession(bare, traceHosts)
-	if s3.earlyCloseSafe(res.Trace) {
+	if safe(nil) {
 		t.Fatal("trace without IPToHost should refuse early close")
 	}
-	s3.Close()
 }
 
 // TestReplayEarlyCloseMatchesLateClose replays the same fully resolved

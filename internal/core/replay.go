@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/activity"
-	"repro/internal/ranker"
 )
 
 // Offline correlation is a deterministic replay into the streaming
@@ -30,50 +29,42 @@ const replayDrainEvery = 1024
 
 // replayTrace correlates a merged, classified-on-the-fly trace by
 // replaying it through the streaming engine in trace order.
+//
+// Close-driven replays overlap partition with correlation: when every
+// record passes earlyCloseSafe, each host is closed right after its last
+// record, so completed components seal and dispatch to the worker pool
+// mid-replay instead of all at once at Close — the serial partition
+// phase and the parallel correlation phase run concurrently. Continuous
+// replays keep the close-at-end shape: closing a host early would shrink
+// components' seal horizons mid-replay and change which seals are
+// forced.
 func (c *Correlator) replayTrace(trace []*activity.Activity) (*Result, error) {
 	start := time.Now()
-	hostSet := make(map[string]struct{})
-	for _, a := range trace {
-		hostSet[a.Ctx.Host] = struct{}{}
+	// One pass over the input finds every host's last record and runs
+	// the early-close test.
+	last := make(map[string]int)
+	early := !c.opts.continuousConfigured()
+	for i, a := range trace {
+		last[a.Ctx.Host] = i
+		early = early && earlyCloseSafe(c.opts.IPToHost, a)
 	}
-	if len(hostSet) == 0 {
+	if len(last) == 0 {
 		return &Result{Activities: len(trace), CorrelationTime: time.Since(start)}, nil
 	}
-	hosts := make([]string, 0, len(hostSet))
-	for h := range hostSet {
+	hosts := make([]string, 0, len(last))
+	var ends []int // trace positions to close a host after, ascending
+	for h, i := range last {
 		hosts = append(hosts, h)
+		ends = append(ends, i)
 	}
 	sort.Strings(hosts)
+	sort.Ints(ends)
 
 	s := newSession(c.opts, hosts)
-	cls := s.cls
-	every := 0
-	if c.opts.continuousConfigured() {
-		every = replayDrainEvery
-	}
-	// Close-driven replays overlap partition with correlation: when the
-	// trace proves safe (earlyCloseSafe), each host is closed right
-	// after its last record, so completed components seal and dispatch
-	// to the worker pool mid-replay instead of all at once at Close —
-	// the serial partition phase and the parallel correlation phase run
-	// concurrently. Continuous replays keep the close-at-end shape:
-	// closing a host early would shrink components' seal horizons
-	// mid-replay and change which seals are forced.
-	var lastIdx map[string]int
-	if every == 0 && s.earlyCloseSafe(trace) {
-		lastIdx = make(map[string]int, len(hosts))
-		for i, a := range trace {
-			lastIdx[a.Ctx.Host] = i
-		}
-	}
 	for i, a := range trace {
-		cp := s.copyRec(a)
-		cp.Type = cls.Classify(a)
-		s.replayPush(cp)
-		if every > 0 && (i+1)%every == 0 {
-			s.Drain()
-		}
-		if lastIdx != nil && lastIdx[a.Ctx.Host] == i {
+		s.replayIngest(a)
+		if early && ends[0] == i {
+			ends = ends[1:]
 			if err := s.CloseHost(a.Ctx.Host); err != nil {
 				return nil, err
 			}
@@ -82,85 +73,52 @@ func (c *Correlator) replayTrace(trace []*activity.Activity) (*Result, error) {
 	return c.finishReplay(s, len(trace), start), nil
 }
 
-// earlyCloseSafe reports whether a close-driven replay may close each
-// host at its last record without changing a single seal grouping: it
-// holds when every record's pushing host owns at least one resolvable
-// endpoint of the record's own connection. Then any component whose
-// contributing hosts have all closed really is complete — a later
-// record that could join it shares one of its connections, and that
-// connection's still-open side resolved into the component's
-// contributor set when the connection was first seen, so the component
-// was not sealable. An unresolvable own-side endpoint means IPToHost
-// misses a traced host's address; sealing early there could split what
-// close-at-end would have joined, so the replay degrades to the
-// close-at-end shape (exactly like the ranker degrades its noise
-// reasoning on the same misconfiguration).
-func (s *Session) earlyCloseSafe(trace []*activity.Activity) bool {
-	if len(s.ipHost) == 0 {
-		return false
+// earlyCloseSafe reports whether record a allows a close-driven replay to
+// close each host at its last record without changing a single seal
+// grouping; a trace allows it when every record does. A record does when
+// its pushing host owns at least one resolvable endpoint of the record's
+// own connection. Then any component whose contributing hosts have all
+// closed really is complete — a later record that could join it shares
+// one of its connections, and that connection's still-open side resolved
+// into the component's contributor set when the connection was first
+// seen, so the component was not sealable. An unresolvable own-side
+// endpoint means IPToHost misses a traced host's address; sealing early
+// there could split what close-at-end would have joined, so the replay
+// degrades to the close-at-end shape (exactly like the ranker degrades
+// its noise reasoning on the same misconfiguration). The test reads the
+// identity strings, not the dense keys, so the caller's unbound records
+// are never bound (written) here.
+func earlyCloseSafe(ipToHost map[string]string, a *activity.Activity) bool {
+	if hn, ok := ipToHost[a.Chan.Src.IP]; ok && hn == a.Ctx.Host {
+		return true
 	}
-	for _, a := range trace {
-		if !a.CtxK.Bound() {
-			activity.Bind(a)
-		}
-		if s.ipHost[a.ChanK.SrcIP] != a.CtxK.Host && s.ipHost[a.ChanK.DstIP] != a.CtxK.Host {
-			return false
-		}
-	}
-	return true
+	hn, ok := ipToHost[a.Chan.Dst.IP]
+	return ok && hn == a.Ctx.Host
 }
 
-// replaySources correlates pre-classified per-node sources by merging
-// them in timestamp order (ties broken by source position — sources are
-// conventionally passed in sorted host order) and replaying the merged
-// stream through the streaming engine.
-func (c *Correlator) replaySources(sources []ranker.Source, totalHint int) (*Result, error) {
-	start := time.Now()
-	hosts := make([]string, 0, len(sources))
-	seen := make(map[string]struct{}, len(sources))
-	for _, src := range sources {
-		if _, dup := seen[src.Host()]; !dup {
-			seen[src.Host()] = struct{}{}
-			hosts = append(hosts, src.Host())
-		}
+// replayIngest is the offline replays' one ingest step: it copies the
+// record into the session's slab (the input is never modified),
+// classifies and binds the copy, and pushes it. The replay controls
+// every stream, so it skips Push's online contract checks (the
+// historical sequential pass accepted per-host disorder too, producing
+// whatever the ranker makes of it) and declares a host it has not met on
+// the fly — finishReplay closes every host before the final drain. A
+// continuous-mode replay drains every replayDrainEvery records.
+func (s *Session) replayIngest(a *activity.Activity) {
+	cp := s.copyRec(a)
+	cp.Type = s.cls.Classify(cp)
+	if !cp.CtxK.Bound() {
+		activity.Bind(cp)
 	}
-	if len(hosts) == 0 {
-		return &Result{Activities: totalHint, CorrelationTime: time.Since(start)}, nil
+	h := s.hosts[cp.CtxK.Host]
+	if h == nil {
+		h = &sessHost{name: cp.Ctx.Host, open: true, horizon: s.opts.horizonFor(cp.Ctx.Host)}
+		s.hosts[cp.CtxK.Host] = h
 	}
-
-	s := newSession(c.opts, hosts)
-	every := 0
-	if c.opts.continuousConfigured() {
-		every = replayDrainEvery
+	s.ingest(cp, h)
+	if s.continuous && s.pushed%replayDrainEvery == 0 {
+		s.Drain()
 	}
-	pushed := 0
-	for {
-		pick := -1
-		var best time.Duration
-		for i, src := range sources {
-			a := src.Peek()
-			if a == nil {
-				continue
-			}
-			if pick < 0 || a.Timestamp < best {
-				pick, best = i, a.Timestamp
-			}
-		}
-		if pick < 0 {
-			break
-		}
-		// Sources hand over ownership (the historical pass fed them to the
-		// ranker directly), and their records are pre-classified — no copy.
-		s.replayPush(sources[pick].Pop())
-		pushed++
-		if every > 0 && pushed%every == 0 {
-			s.Drain()
-		}
-	}
-	if totalHint == 0 {
-		totalHint = pushed
-	}
-	return c.finishReplay(s, totalHint, start), nil
 }
 
 // finishReplay ends every stream (Close seals and drains the remainder)

@@ -390,25 +390,6 @@ func (s *Session) Push(a *activity.Activity) error {
 	return nil
 }
 
-// replayPush is the offline replay's ingest path: the record is already
-// copied/owned and classified, and the replay — which controls every
-// stream — skips the online contract checks (the historical sequential
-// pass accepted per-host disorder too, producing whatever the ranker
-// makes of it).
-func (s *Session) replayPush(cp *activity.Activity) {
-	if !cp.CtxK.Bound() {
-		activity.Bind(cp)
-	}
-	h := s.hosts[cp.CtxK.Host]
-	if h == nil {
-		// A source whose records carry an undeclared host name: declare it
-		// on the fly; the replay closes every host before draining.
-		h = &sessHost{name: cp.Ctx.Host, open: true, horizon: s.opts.horizonFor(cp.Ctx.Host)}
-		s.hosts[cp.CtxK.Host] = h
-	}
-	s.ingest(cp, h)
-}
-
 // debugShardClosure turns on assertChanClosure in every Session:
 // the per-push check that no ChanKey ever resolves to two live
 // components — the invariant the shard-aware Fig. 5 predicate rests on
@@ -916,19 +897,7 @@ func (s *Session) emit(all bool) {
 // force-seals components idle past their horizon (continuous mode), waits
 // for every dispatched component to finish correlating, and releases the
 // graphs the watermark permits.
-func (s *Session) Drain() int {
-	start := time.Now()
-	s.sealStale()
-	s.settle()
-	if s.continuous {
-		s.inc.PruneBefore(s.maxTs)
-	}
-	s.emit(false)
-	s.workTime += time.Since(start)
-	n := s.uncounted
-	s.uncounted = 0
-	return n
-}
+func (s *Session) Drain() int { return s.drain(true) }
 
 // Tick is the non-blocking Drain: it makes the same deterministic seal
 // decisions at the same point in the event stream (sealStale with the
@@ -942,10 +911,18 @@ func (s *Session) Drain() int {
 // cadence only shifts *when* each graph is released, never what it
 // contains or its order. A final Drain or Close delivers whatever Tick
 // left in flight.
-func (s *Session) Tick() int {
+func (s *Session) Tick() int { return s.drain(false) }
+
+// drain is Drain (wait=true: settle, the full barrier) and Tick
+// (wait=false: harvest only what has landed).
+func (s *Session) drain(wait bool) int {
 	start := time.Now()
 	s.sealStale()
-	s.harvest()
+	if wait {
+		s.settle()
+	} else {
+		s.harvest()
+	}
 	if s.continuous {
 		s.inc.PruneBefore(s.maxTs)
 	}

@@ -27,8 +27,10 @@
 //     reuse across requests then no longer merges their components. This
 //     matches the engine's own thread-reuse defence (the same-CAG check of
 //     Fig. 3 lines 29–32): the context edge a RECEIVE would inherit from a
-//     previous epoch is suppressed there too, so splitting the epochs
-//     changes no graph.
+//     previous epoch is suppressed there too, so on a loss-free trace
+//     splitting the epochs changes no graph. Lost records can hide an
+//     epoch boundary; then ModeFlow may split what the global pass
+//     joins, and ModeContext is the exact choice.
 //
 // # The channel-closure guarantee
 //
@@ -57,8 +59,9 @@ const (
 	// ModeFlow scopes context links to request epochs (finest safe
 	// sharding for well-formed traces).
 	ModeFlow Mode = iota
-	// ModeContext unions a context's entire lifetime (coarser, robust
-	// even to traces with lost epoch boundaries).
+	// ModeContext unions a context's entire lifetime (coarser, and
+	// still exact when records are lost: about 1% record loss already
+	// drops epoch boundaries ModeFlow relies on).
 	ModeContext
 )
 
